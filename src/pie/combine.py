@@ -30,7 +30,7 @@ def _as_grid(grid) -> np.ndarray:
     g = np.asarray(grid, dtype=float).ravel()
     if g.size < 1:
         raise ConfigError("probability grid is empty")
-    if g.min() <= 0.0 or g.max() >= 1.0:
+    if not (g.min() > 0.0 and g.max() < 1.0):  # also rejects NaN
         raise ConfigError("probability grid must lie strictly inside (0, 1)")
     if g.size > 1 and np.any(np.diff(g) <= 0):
         raise ConfigError("probability grid must be strictly increasing")
@@ -85,16 +85,10 @@ def empirical_quantile(draws_1d, u: float) -> float:
     """Order statistic at 1-based index floor(T * u), clamped to [1, T].
 
     The floor rule would yield index zero for small ``T * u``; clamping to
-    the minimum order statistic is the minimal consistent fix.
+    the minimum order statistic is the minimal consistent fix.  This is
+    ``quantile_table`` on the one-point grid ``[u]``.
     """
-    draws = np.asarray(draws_1d, dtype=float).ravel()
-    if draws.size == 0:
-        raise DataError("empty draws")
-    if not 0.0 < u < 1.0:
-        raise ConfigError(f"quantile level must lie in (0, 1), got {u}")
-    k = int(np.floor(draws.size * u))
-    k = min(max(k, 1), draws.size)
-    return float(np.sort(draws)[k - 1])
+    return float(quantile_table(draws_1d, [u]).values[0])
 
 
 def quantile_table(draws_1d, grid=None) -> QuantileTable:
@@ -128,22 +122,21 @@ def average_quantile_tables(tables: Sequence[QuantileTable]) -> QuantileTable:
 def pie_interval(subset_draws: Sequence, alpha: float) -> IntervalEstimate:
     """Credible interval from averaged per-shard empirical quantiles.
 
-    The lower and upper endpoints are the means across shards of each
-    shard's order statistics at levels alpha/2 and 1 - alpha/2.
+    The endpoints are the average of the shards' quantile tables on the
+    two-point grid (alpha/2, 1 - alpha/2), so they equal the combined table
+    at those levels.  With one draw vector this is its own equal-tailed
+    interval.
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    if len(subset_draws) == 0:
-        raise ConfigError("need at least one shard")
-    lowers, uppers = [], []
+    grid = [alpha / 2.0, 1.0 - alpha / 2.0]
+    tables = []
     for draws in subset_draws:
-        arr = np.asarray(draws, dtype=float).ravel()
-        if arr.size < 2:
+        if np.size(draws) < 2:
             raise DataError("every shard needs at least 2 draws")
-        lowers.append(empirical_quantile(arr, alpha / 2.0))
-        uppers.append(empirical_quantile(arr, 1.0 - alpha / 2.0))
-    return IntervalEstimate(alpha=alpha, lower=float(np.mean(lowers)),
-                            upper=float(np.mean(uppers)))
+        tables.append(quantile_table(draws, grid))
+    lower, upper = average_quantile_tables(tables).values
+    return IntervalEstimate(alpha=alpha, lower=float(lower), upper=float(upper))
 
 
 def sample_from_table(table: QuantileTable, size: int, generator) -> np.ndarray:

@@ -10,18 +10,13 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, coerce
+from .families import CONJUGATE
 from .models import LinearFunctional, ModelSpec
 from .samplers import ChainConfig
 
 MODES = ("pie", "consensus", "multidim", "full-oracle")
 SAMPLERS = ("exact", "metropolis")
-CONFIG_FAMILIES = {
-    "poisson-gamma": "poisson",
-    "exponential-gamma": "exponential",
-    "bernoulli-beta": "bernoulli",
-    "normal-linear-nig": "normal-linear",
-}
 
 OUTPUT_DIR_ENV = "PIE_OUT_DIR"
 
@@ -67,10 +62,8 @@ class ExperimentConfig:
             raise ConfigError("data source must be 'simulate' or 'csv'")
         if self.data_source == "csv" and not self.data_path:
             raise ConfigError("csv data source requires a path")
-        if self.model.family not in CONFIG_FAMILIES:
-            raise ConfigError(
-                f"config-driven runs support families {tuple(CONFIG_FAMILIES)}"
-            )
+        if self.model.family not in CONJUGATE:
+            raise ConfigError(f"config-driven runs support families {tuple(CONJUGATE)}")
         for f in self.functionals:
             if f.a.size != self.model.parameter_dim:
                 raise ConfigError(
@@ -104,23 +97,19 @@ class ExperimentConfig:
 
 
 def _build_model(raw: dict, data: dict) -> ModelSpec:
-    family = raw.get("family")
+    name = raw.get("family")
+    family = CONJUGATE.get(name) if isinstance(name, str) else None
     if family is None:
-        raise ConfigError("model.family is required")
-    if family == "normal-linear-nig":
-        p = data.get("p")
-        if p is None:
-            raise ConfigError("normal-linear-nig requires data.p")
-        p = int(p)
-        mu_star = raw.get("mu_star", [0.0] * p)
-        omega = raw.get("omega", 100.0)
-        if np.isscalar(omega):
-            omega = (float(omega) * np.eye(p)).tolist()
-        hyper = {"a": float(raw.get("a", 6.0)), "b": float(raw.get("b", 2.0)),
-                 "mu_star": mu_star, "omega": omega}
-        return ModelSpec(family=family, hyperparameters=hyper, parameter_dim=p + 1)
-    hyper = {"a": float(raw.get("a", 1.0)), "b": float(raw.get("b", 1.0))}
-    return ModelSpec(family=family, hyperparameters=hyper, parameter_dim=1)
+        raise ConfigError(f"model.family must be one of {tuple(CONJUGATE)}, got {name!r}")
+    hyper, dim = family.config(raw, data)
+    return ModelSpec(family=name, hyperparameters=hyper, parameter_dim=dim)
+
+
+def _section(raw: dict, key: str) -> dict:
+    value = raw.get(key) or {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"config key '{key}' must be a mapping")
+    return value
 
 
 def _coordinate_functionals(d: int) -> list[LinearFunctional]:
@@ -167,26 +156,28 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     for key, value in (overrides or {}).items():
         _set_dotted(raw, key, value)
 
-    data = raw.get("data", {}) or {}
-    model = _build_model(raw.get("model", {}) or {}, data)
+    data = _section(raw, "data")
+    model = _build_model(_section(raw, "model"), data)
 
-    chain_raw = raw.get("chain", {}) or {}
+    chain_raw = _section(raw, "chain")
     chain = ChainConfig(
-        T_total=int(chain_raw.get("T_total", 10000)),
-        burn_fraction=float(chain_raw.get("burn_fraction", 0.5)),
-        thin=int(chain_raw.get("thin", 5)),
+        T_total=coerce(chain_raw.get("T_total", 10000), int, "chain.T_total"),
+        burn_fraction=coerce(chain_raw.get("burn_fraction", 0.5), float,
+                             "chain.burn_fraction"),
+        thin=coerce(chain_raw.get("thin", 5), int, "chain.thin"),
         proposal_scale=chain_raw.get("proposal_scale", "auto"),
-        seed=int(chain_raw.get("seed", 0)),
+        seed=coerce(chain_raw.get("seed", 0), int, "chain.seed"),
     )
 
     functionals_raw = raw.get("functionals")
     if functionals_raw:
+        if not isinstance(functionals_raw, list):
+            raise ConfigError("functionals must be a list")
         functionals = []
         for f in functionals_raw:
             if not isinstance(f, dict) or "a" not in f:
                 raise ConfigError("each functional needs a weight vector 'a'")
-            functionals.append(LinearFunctional(a=np.asarray(f["a"], dtype=float),
-                                                b=float(f.get("b", 0.0))))
+            functionals.append(LinearFunctional(a=f["a"], b=f.get("b", 0.0)))
     else:
         functionals = _coordinate_functionals(model.parameter_dim)
 
@@ -196,17 +187,19 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     output_dir = raw.get("output_dir") or os.environ.get(OUTPUT_DIR_ENV) or "out"
     return ExperimentConfig(
         model=model,
-        n=int(raw["n"]),
-        K=int(raw.get("K", 1)),
+        n=coerce(raw["n"], int, "n"),
+        K=coerce(raw.get("K", 1), int, "K"),
         chain=chain,
         functionals=functionals,
-        alpha_levels=[float(a) for a in raw.get("alpha_levels", [0.1])],
-        grid_size=int(raw.get("grid_size", 999)),
-        seeds=[int(s) for s in raw.get("seeds", [0])],
+        alpha_levels=coerce(raw.get("alpha_levels", [0.1]),
+                            lambda v: [float(a) for a in v], "alpha_levels"),
+        grid_size=coerce(raw.get("grid_size", 999), int, "grid_size"),
+        seeds=coerce(raw.get("seeds", [0]), lambda v: [int(s) for s in v], "seeds"),
         mode=raw.get("mode", "pie"),
         sampler=raw.get("sampler", "exact"),
         data_source=data.get("source", "simulate"),
-        data_path=data.get("path"),
-        true_theta=None if true_theta is None else float(true_theta),
+        data_path=None if data.get("path") is None else str(data["path"]),
+        true_theta=None if true_theta is None else coerce(true_theta, float,
+                                                          "data.true_theta"),
         output_dir=str(output_dir),
     )

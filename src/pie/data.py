@@ -17,8 +17,6 @@ from .combine import QuantileTable
 from .errors import ConfigError, DataError
 from .models import ObservationSet
 
-UNIVARIATE_FAMILIES = ("poisson", "exponential", "bernoulli")
-
 
 def simulate_univariate(family: str, theta0: float, n: int, seed: int) -> ObservationSet:
     """Draw n i.i.d. observations from the named family at parameter theta0."""

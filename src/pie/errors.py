@@ -23,3 +23,11 @@ class NumericError(PieError):
     """Numerical failure: singular matrix, non-convergence, degenerate sample."""
 
     exit_code = 4
+
+
+def coerce(value, kind, key: str):
+    """``kind(value)``, reporting a failed conversion as a ConfigError on ``key``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"invalid value for {key}: {value!r}") from None

@@ -1,0 +1,342 @@
+"""Conjugate model families.
+
+The exact samplers differ only in a tempered conjugate update: raising a
+shard's likelihood to the power ``temper`` = n / m_j multiplies the shard's
+additive sufficient statistics by ``temper`` before they meet the prior.
+One object per family below owns everything that depends on the family:
+hyperparameter validation and config defaults, the data support check, the
+sufficient statistics, the tempered update, exact draws from a given
+generator, the tempered log kernel a Metropolis chain evaluates (constants
+precomputed once per target), the prior mean, and the name of the
+simulation family its data come from.  ``custom-logdensity``, the one
+non-conjugate family, has no object here.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.linalg import solve_triangular
+from scipy.special import betaln, gammaln
+
+from .errors import ConfigError, DataError, NumericError, coerce
+
+_SINGULAR_PRECISION = "singular precision matrix temper * Z'Z + inv(omega)"
+
+
+def float_array(value) -> np.ndarray:
+    """A float copy, so freezing it never touches the caller's array."""
+    return np.array(value, dtype=float)
+
+
+def check_temper(temper) -> float:
+    if not (math.isfinite(temper) and temper >= 1.0):
+        raise ConfigError("temper must be a finite real >= 1")
+    return float(temper)
+
+
+def _prior_pair(h: dict, name: str, a_min: float) -> tuple[float, float]:
+    a = coerce(h.get("a", 0.0), float, f"{name} hyperparameter a")
+    b = coerce(h.get("b", 0.0), float, f"{name} hyperparameter b")
+    if not (a_min < a < math.inf and 0 < b < math.inf):
+        raise ConfigError(f"{name} requires finite a > {a_min:g} and b > 0")
+    return a, b
+
+
+@dataclass(frozen=True, eq=False)
+class NormalLinearPosterior:
+    """Closed-form tempered posterior for the normal linear model.
+
+    The noise variance is inverse-gamma distributed with the given shape and
+    rate; conditionally on it, the coefficients are normal with the given
+    location and precision-scaled covariance.  Marginally the coefficients
+    follow a multivariate t with ``2 * noise_shape`` degrees of freedom and
+    covariance ``noise_rate / (noise_shape - 1) * inv(coef_precision)``.
+    """
+
+    coef_location: np.ndarray
+    coef_precision: np.ndarray
+    noise_shape: float
+    noise_rate: float
+
+    def coef_covariance(self) -> np.ndarray:
+        return self.noise_rate / (self.noise_shape - 1.0) \
+            * np.linalg.inv(self.coef_precision)
+
+    def noise_variance_mean(self) -> float:
+        return self.noise_rate / (self.noise_shape - 1.0)
+
+    def noise_variance_var(self) -> float:
+        s, r = self.noise_shape, self.noise_rate
+        return r * r / ((s - 1.0) ** 2 * (s - 2.0))
+
+
+class _Family:
+    """A family has a ``name``, the ``simulate`` family name of the data it
+    describes, and ``regression`` set when its likelihood reads a design."""
+
+    regression = False
+
+    def posterior(self, hyper: dict, y, Z, temper):
+        """Validated tempered conjugate update for one shard's raw data."""
+        h = self.hyperparameters(hyper)
+        y, Z = self.check(h, y, Z)
+        return self.update(self.stats(y, Z), check_temper(temper), h)
+
+
+class _ScalarFamily(_Family):
+    """Scalar parameter with a two-hyperparameter (a, b) conjugate prior.
+
+    The statistics are the two increments the tempered update adds to
+    (a, b), so the update is the same for every scalar family; ``support``
+    says what the responses must satisfy.
+    """
+
+    def hyperparameters(self, h: dict, parameter_dim=None) -> dict:
+        a, b = _prior_pair(h, self.name, 0.0)
+        if parameter_dim not in (None, 1):
+            raise ConfigError(f"{self.name} has a scalar parameter")
+        return {"a": a, "b": b}
+
+    def config(self, raw: dict, data: dict) -> tuple[dict, int]:
+        """Hyperparameters and parameter dimension from a config's sections."""
+        return {"a": raw.get("a", 1.0), "b": raw.get("b", 1.0)}, 1
+
+    def check(self, h, y, Z=None):
+        y = np.asarray(y, dtype=float).ravel()
+        if y.size == 0:
+            raise DataError("empty shard")
+        if not np.all(np.isfinite(y)):
+            raise DataError("shard contains non-finite values")
+        if self.outside_support(y):
+            raise DataError(f"{self.name} shard must {self.support}")
+        return y, Z
+
+    def update(self, stats, temper, h) -> tuple[float, float]:
+        u, v = stats
+        return temper * u + h["a"], temper * v + h["b"]
+
+    def true_theta(self, true_theta, meta) -> np.ndarray | None:
+        return None if true_theta is None else np.array([true_theta])
+
+
+class _GammaRate(_ScalarFamily):
+    """Positive rate t with a Gamma(a, b) prior (shape a, rate b): a shard
+    with statistics (u, v) has likelihood kernel t^u exp(-v t)."""
+
+    def draw(self, post, T: int, g) -> np.ndarray:
+        shape, rate = post
+        return g.gamma(shape, 1.0 / rate, size=T)
+
+    def prior_mean(self, h) -> np.ndarray:
+        return np.array([h["a"] / h["b"]])
+
+    def log_kernel(self, h, y, Z, temper):
+        u, v = self.stats(y)
+        C = self.log_base_measure(y)
+        a, b = h["a"], h["b"]
+        norm = a * math.log(b) - gammaln(a)
+
+        def log_density(theta):
+            t = theta[0]
+            if t <= 0:
+                return -np.inf
+            ll = u * math.log(t) - v * t - C
+            lp = norm + (a - 1.0) * math.log(t) - b * t
+            return temper * ll + lp
+
+        return log_density
+
+
+class PoissonGamma(_GammaRate):
+    name, simulate, support = "poisson-gamma", "poisson", "contain nonnegative counts"
+
+    def outside_support(self, y) -> bool:
+        return np.any(y < 0) or np.any(y != np.floor(y))
+
+    def stats(self, y, Z=None):
+        return y.sum(), y.size
+
+    def log_base_measure(self, y) -> float:
+        # log prod y_i!, which only the Metropolis kernel needs
+        return gammaln(y + 1.0).sum()
+
+
+class ExponentialGamma(_GammaRate):
+    name, simulate, support = "exponential-gamma", "exponential", "contain positive values"
+
+    def outside_support(self, y) -> bool:
+        return np.any(y <= 0)
+
+    def stats(self, y, Z=None):
+        return y.size, y.sum()
+
+    def log_base_measure(self, y) -> float:
+        return 0.0
+
+
+class BernoulliBeta(_ScalarFamily):
+    name, simulate, support = "bernoulli-beta", "bernoulli", "be binary"
+
+    def outside_support(self, y) -> bool:
+        return np.any((y != 0) & (y != 1))
+
+    def stats(self, y, Z=None):
+        S = y.sum()
+        return S, y.size - S
+
+    def draw(self, post, T: int, g) -> np.ndarray:
+        alpha, beta = post
+        return g.beta(alpha, beta, size=T)
+
+    def prior_mean(self, h) -> np.ndarray:
+        return np.array([h["a"] / (h["a"] + h["b"])])
+
+    def log_kernel(self, h, y, Z, temper):
+        S, F = self.stats(y)
+        a, b = h["a"], h["b"]
+        norm = -betaln(a, b)
+
+        def log_density(theta):
+            t = theta[0]
+            if not 0.0 < t < 1.0:
+                return -np.inf
+            ll = S * math.log(t) + F * math.log1p(-t)
+            lp = norm + (a - 1.0) * math.log(t) + (b - 1.0) * math.log1p(-t)
+            return temper * ll + lp
+
+        return log_density
+
+
+class NormalLinearNIG(_Family):
+    """Normal linear model with a normal-inverse-gamma prior.
+
+    theta = (coefficients..., noise variance sigma2); the coefficients are
+    N(mu_star, sigma2 * omega) given sigma2, and sigma2 is inverse gamma
+    with shape a / 2 and rate b / 2.
+    """
+
+    name, simulate, regression = "normal-linear-nig", "normal-linear", True
+
+    def hyperparameters(self, h: dict, parameter_dim=None) -> dict:
+        a, b = _prior_pair(h, self.name, 4.0)
+        mu = np.atleast_1d(coerce(h.get("mu_star"), float_array, f"{self.name} mu_star"))
+        omega = np.atleast_2d(coerce(h.get("omega"), float_array, f"{self.name} omega"))
+        p = mu.size
+        if p < 1 or omega.shape != (p, p):
+            raise ConfigError("omega must be p x p with p = len(mu_star) >= 1")
+        with np.errstate(invalid="ignore"):  # an infinite prior variance is allowed
+            if not np.allclose(omega, omega.T, atol=1e-10 * max(1.0, abs(omega).max())):
+                raise ConfigError("omega must be symmetric")
+        try:
+            np.linalg.cholesky(omega)
+        except np.linalg.LinAlgError:
+            raise ConfigError("omega must be positive definite") from None
+        if parameter_dim not in (None, p + 1):
+            raise ConfigError(
+                "normal-linear-nig parameter_dim must be p + 1 (coefficients plus noise variance)"
+            )
+        mu.setflags(write=False)
+        omega.setflags(write=False)
+        return {"a": a, "b": b, "mu_star": mu, "omega": omega}
+
+    def config(self, raw: dict, data: dict) -> tuple[dict, int]:
+        """Hyperparameters and parameter dimension from a config's sections."""
+        if data.get("p") is None:
+            raise ConfigError("normal-linear-nig requires data.p")
+        p = coerce(data["p"], int, "data.p")
+        if p < 1:
+            raise ConfigError("data.p must be >= 1")
+        omega = raw.get("omega", 100.0)
+        if np.isscalar(omega):
+            omega = coerce(omega, float, "model.omega") * np.eye(p)
+        return {"a": raw.get("a", 6.0), "b": raw.get("b", 2.0),
+                "mu_star": raw.get("mu_star", [0.0] * p), "omega": omega}, p + 1
+
+    def check(self, h, y, Z):
+        if Z is None:
+            raise ConfigError("normal-linear-nig requires a design matrix")
+        y = np.asarray(y, dtype=float).ravel()
+        Z = np.atleast_2d(np.asarray(Z, dtype=float))
+        if y.size == 0:
+            raise DataError("empty shard")
+        if Z.shape[0] != y.size:
+            raise ConfigError(f"design has {Z.shape[0]} rows for {y.size} responses")
+        if Z.shape[1] != h["mu_star"].size:
+            raise ConfigError("mu_star and omega must match the design dimension")
+        return y, Z
+
+    def stats(self, y, Z):
+        return Z.T @ Z, Z.T @ y, y @ y, y.size
+
+    def update(self, stats, temper, h) -> NormalLinearPosterior:
+        ZtZ, Zty, yty, m = stats
+        mu_star = h["mu_star"]
+        omega_inv = np.linalg.inv(h["omega"])  # positive definite, see hyperparameters
+        precision = temper * ZtZ + omega_inv
+        rhs = temper * Zty + omega_inv @ mu_star
+        try:
+            location = np.linalg.solve(precision, rhs)
+        except np.linalg.LinAlgError:
+            raise NumericError(_SINGULAR_PRECISION) from None
+        bstar = h["b"] + mu_star @ omega_inv @ mu_star + temper * yty - rhs @ location
+        if bstar <= 0:
+            raise NumericError("nonpositive posterior rate; data or prior ill-posed")
+        return NormalLinearPosterior(
+            coef_location=location,
+            coef_precision=precision,
+            noise_shape=(h["a"] + temper * m) / 2.0,
+            noise_rate=bstar / 2.0,
+        )
+
+    def draw(self, post: NormalLinearPosterior, T: int, g) -> np.ndarray:
+        try:
+            L = np.linalg.cholesky(post.coef_precision)
+        except np.linalg.LinAlgError:
+            raise NumericError(_SINGULAR_PRECISION) from None
+        sigma2 = 1.0 / g.gamma(post.noise_shape, 1.0 / post.noise_rate, size=T)
+        z = g.standard_normal((T, post.coef_location.size))
+        # L^{-T} z has covariance inv(precision)
+        white = solve_triangular(L, z.T, lower=True, trans="T").T
+        beta = post.coef_location + np.sqrt(sigma2)[:, None] * white
+        return np.column_stack([beta, sigma2])
+
+    def prior_mean(self, h) -> np.ndarray:
+        return np.concatenate([h["mu_star"], [h["b"] / (h["a"] - 2.0)]])
+
+    def true_theta(self, true_theta, meta) -> np.ndarray | None:
+        beta0, sigma2 = meta.get("beta0"), meta.get("sigma2")
+        if beta0 is None or sigma2 is None:
+            return None
+        return np.array(list(beta0) + [float(sigma2)])
+
+    def log_kernel(self, h, y, Z, temper):
+        ZtZ, Zty, yty, m = self.stats(y, Z)
+        mu_star = h["mu_star"]
+        omega_inv = np.linalg.inv(h["omega"])
+        _, logdet_omega = np.linalg.slogdet(h["omega"])
+        a2, b2 = h["a"] / 2.0, h["b"] / 2.0
+        sigma2_norm = a2 * math.log(b2) - gammaln(a2)
+
+        def log_density(theta):
+            beta, sigma2 = theta[:-1], theta[-1]
+            if sigma2 <= 0:
+                return -np.inf
+            ssr = yty - 2.0 * (beta @ Zty) + beta @ ZtZ @ beta
+            ll = -0.5 * m * math.log(2.0 * math.pi * sigma2) - ssr / (2.0 * sigma2)
+            dev = beta - mu_star
+            lp_beta = -0.5 * beta.size * math.log(2.0 * math.pi * sigma2) \
+                - 0.5 * logdet_omega - dev @ omega_inv @ dev / (2.0 * sigma2)
+            lp_sigma = sigma2_norm - (a2 + 1.0) * math.log(sigma2) - b2 / sigma2
+            return temper * ll + lp_beta + lp_sigma
+
+        return log_density
+
+
+POISSON = PoissonGamma()
+EXPONENTIAL = ExponentialGamma()
+BERNOULLI = BernoulliBeta()
+LINEAR = NormalLinearNIG()
+CONJUGATE = {f.name: f for f in (POISSON, EXPONENTIAL, BERNOULLI, LINEAR)}

@@ -9,23 +9,16 @@ we use n / m_j, which reduces to K when n is divisible by K.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import betaln, gammaln
 
 from . import rng
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, coerce
+from .families import CONJUGATE, check_temper, float_array
 
-FAMILIES = (
-    "poisson-gamma",
-    "exponential-gamma",
-    "bernoulli-beta",
-    "normal-linear-nig",
-    "custom-logdensity",
-)
+FAMILIES = (*CONJUGATE, "custom-logdensity")
 
 
 def _frozen_array(obj, attr, value):
@@ -137,11 +130,11 @@ class LinearFunctional:
     b: float = 0.0
 
     def __post_init__(self):
-        a = np.atleast_1d(np.asarray(self.a, dtype=float)).copy()
+        a = np.atleast_1d(coerce(self.a, float_array, "functional weights"))
         if a.ndim != 1 or not np.all(np.isfinite(a)) or not np.any(a != 0.0):
             raise ConfigError("functional weights must be finite with a nonzero entry")
         _frozen_array(self, "a", a)
-        object.__setattr__(self, "b", float(self.b))
+        object.__setattr__(self, "b", coerce(self.b, float, "functional offset"))
 
 
 def apply_functional(f: LinearFunctional, draws) -> np.ndarray:
@@ -177,53 +170,21 @@ class ModelSpec:
         if self.parameter_dim < 1:
             raise ConfigError("parameter_dim must be >= 1")
         h = dict(self.hyperparameters)
-        if self.family in ("poisson-gamma", "exponential-gamma", "bernoulli-beta"):
-            a, b = float(h.get("a", 0.0)), float(h.get("b", 0.0))
-            if a <= 0 or b <= 0:
-                raise ConfigError(f"{self.family} requires a > 0 and b > 0")
-            h = {"a": a, "b": b}
-            if self.parameter_dim != 1:
-                raise ConfigError(f"{self.family} has a scalar parameter")
-        elif self.family == "normal-linear-nig":
-            a, b = float(h.get("a", 0.0)), float(h.get("b", 0.0))
-            if a <= 4 or b <= 0:
-                raise ConfigError("normal-linear-nig requires a > 4 and b > 0")
-            mu = np.atleast_1d(np.asarray(h.get("mu_star"), dtype=float))
-            omega = np.atleast_2d(np.asarray(h.get("omega"), dtype=float))
-            p = mu.size
-            if omega.shape != (p, p):
-                raise ConfigError("omega must be p x p with p = len(mu_star)")
-            if not np.allclose(omega, omega.T, atol=1e-10 * max(1.0, abs(omega).max())):
-                raise ConfigError("omega must be symmetric")
-            try:
-                np.linalg.cholesky(omega)
-            except np.linalg.LinAlgError:
-                raise ConfigError("omega must be positive definite") from None
-            if self.parameter_dim != p + 1:
-                raise ConfigError(
-                    "normal-linear-nig parameter_dim must be p + 1 (coefficients plus noise variance)"
-                )
-            mu.setflags(write=False)
-            omega.setflags(write=False)
-            h = {"a": a, "b": b, "mu_star": mu, "omega": omega}
-        else:  # custom-logdensity
-            if self.log_likelihood is None or self.log_prior is None:
-                raise ConfigError(
-                    "custom-logdensity requires log_likelihood and log_prior callables"
-                )
+        conjugate = CONJUGATE.get(self.family)
+        if conjugate is not None:
+            h = conjugate.hyperparameters(h, self.parameter_dim)
+        elif self.log_likelihood is None or self.log_prior is None:
+            raise ConfigError(
+                "custom-logdensity requires log_likelihood and log_prior callables"
+            )
         object.__setattr__(self, "hyperparameters", h)
 
     def prior_mean(self) -> np.ndarray:
         """Prior mean, the default chain initialization point."""
-        h = self.hyperparameters
-        if self.family in ("poisson-gamma", "exponential-gamma"):
-            return np.array([h["a"] / h["b"]])
-        if self.family == "bernoulli-beta":
-            return np.array([h["a"] / (h["a"] + h["b"])])
-        if self.family == "normal-linear-nig":
-            sigma2 = h["b"] / (h["a"] - 2.0)
-            return np.concatenate([h["mu_star"], [sigma2]])
-        raise ConfigError("custom-logdensity has no default initialization")
+        conjugate = CONJUGATE.get(self.family)
+        if conjugate is None:
+            raise ConfigError("custom-logdensity has no default initialization")
+        return conjugate.prior_mean(self.hyperparameters)
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,8 +193,10 @@ class TemperedTarget:
 
     Evaluates ``temper * loglik(theta) + logprior(theta)`` up to an additive
     constant fixed per instance; points outside the prior support return
-    ``-inf`` so Metropolis proposals there are rejected naturally.  Instances
-    are immutable, reentrant, and safe to share across threads.
+    ``-inf`` so Metropolis proposals there are rejected naturally.  Shard
+    data outside a conjugate family's support raise ``DataError`` on
+    construction, as the exact samplers do.  Instances are immutable,
+    reentrant, and safe to share across threads.
     """
 
     model: ModelSpec
@@ -241,32 +204,24 @@ class TemperedTarget:
     temper: float
 
     def __post_init__(self):
-        if not math.isfinite(self.temper) or self.temper < 1.0:
-            raise ConfigError("temper must be a finite real >= 1")
-        object.__setattr__(self, "temper", float(self.temper))
-        object.__setattr__(self, "_stats", self._precompute())
+        object.__setattr__(self, "temper", check_temper(self.temper))
+        conjugate = CONJUGATE.get(self.model.family)
+        if conjugate is None:
+            kernel = self._custom_log_density
+        else:
+            h = self.model.hyperparameters
+            y, Z = conjugate.check(h, self.shard_data.responses, self.shard_data.design)
+            kernel = conjugate.log_kernel(h, y, Z, self.temper)
+        object.__setattr__(self, "_log_kernel", kernel)
 
-    def _precompute(self):
-        y = self.shard_data.responses
-        fam = self.model.family
-        h = self.model.hyperparameters
-        if fam == "poisson-gamma":
-            return {"S": y.sum(), "m": y.size, "C": gammaln(y + 1.0).sum(),
-                    "log_prior_norm": h["a"] * math.log(h["b"]) - gammaln(h["a"])}
-        if fam == "exponential-gamma":
-            return {"S": y.sum(), "m": y.size,
-                    "log_prior_norm": h["a"] * math.log(h["b"]) - gammaln(h["a"])}
-        if fam == "bernoulli-beta":
-            return {"S": y.sum(), "m": y.size, "log_prior_norm": -betaln(h["a"], h["b"])}
-        if fam == "normal-linear-nig":
-            Z = self.shard_data.design
-            if Z is None:
-                raise ConfigError("normal-linear-nig requires a design matrix")
-            omega_inv = np.linalg.inv(h["omega"])
-            _, logdet = np.linalg.slogdet(h["omega"])
-            return {"m": y.size, "yty": y @ y, "Zty": Z.T @ y, "ZtZ": Z.T @ Z,
-                    "omega_inv": omega_inv, "logdet_omega": logdet}
-        return {}
+    def _custom_log_density(self, theta) -> float:
+        lp = float(self.model.log_prior(theta))
+        if not np.isfinite(lp):
+            return -np.inf
+        ll = float(self.model.log_likelihood(theta, self.shard_data))
+        if np.isnan(ll):
+            return -np.inf
+        return self.temper * ll + lp
 
     def log_density(self, theta) -> float:
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -274,49 +229,7 @@ class TemperedTarget:
             raise ConfigError(
                 f"theta has {theta.size} entries, expected {self.model.parameter_dim}"
             )
-        fam = self.model.family
-        h = self.model.hyperparameters
-        st = self._stats
-        if fam == "custom-logdensity":
-            lp = float(self.model.log_prior(theta))
-            if not np.isfinite(lp):
-                return -np.inf
-            ll = float(self.model.log_likelihood(theta, self.shard_data))
-            if np.isnan(ll):
-                return -np.inf
-            return self.temper * ll + lp
-        if fam in ("poisson-gamma", "exponential-gamma"):
-            t = theta[0]
-            if t <= 0:
-                return -np.inf
-            if fam == "poisson-gamma":
-                ll = st["S"] * math.log(t) - st["m"] * t - st["C"]
-            else:
-                ll = st["m"] * math.log(t) - st["S"] * t
-            lp = st["log_prior_norm"] + (h["a"] - 1.0) * math.log(t) - h["b"] * t
-            return self.temper * ll + lp
-        if fam == "bernoulli-beta":
-            t = theta[0]
-            if not 0.0 < t < 1.0:
-                return -np.inf
-            ll = st["S"] * math.log(t) + (st["m"] - st["S"]) * math.log1p(-t)
-            lp = st["log_prior_norm"] + (h["a"] - 1.0) * math.log(t) \
-                + (h["b"] - 1.0) * math.log1p(-t)
-            return self.temper * ll + lp
-        # normal-linear-nig: theta = (coefficients..., noise variance)
-        beta, sigma2 = theta[:-1], theta[-1]
-        if sigma2 <= 0:
-            return -np.inf
-        ssr = st["yty"] - 2.0 * (beta @ st["Zty"]) + beta @ st["ZtZ"] @ beta
-        ll = -0.5 * st["m"] * math.log(2.0 * math.pi * sigma2) - ssr / (2.0 * sigma2)
-        dev = beta - h["mu_star"]
-        p = beta.size
-        lp_beta = -0.5 * p * math.log(2.0 * math.pi * sigma2) \
-            - 0.5 * st["logdet_omega"] - dev @ st["omega_inv"] @ dev / (2.0 * sigma2)
-        a2, b2 = h["a"] / 2.0, h["b"] / 2.0
-        lp_sigma = a2 * math.log(b2) - gammaln(a2) - (a2 + 1.0) * math.log(sigma2) \
-            - b2 / sigma2
-        return self.temper * ll + lp_beta + lp_sigma
+        return self._log_kernel(theta)
 
 
 def tempered_log_density(target: TemperedTarget, theta) -> float:

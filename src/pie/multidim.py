@@ -19,6 +19,7 @@ from . import rng
 from .combine import (
     QuantileTable,
     _as_grid,
+    _inverse_covariance,
     average_quantile_tables,
     default_grid,
     quantile_table,
@@ -44,19 +45,6 @@ class PooledTransform:
         return values @ self.cov_sqrt + self.mean
 
 
-def _shard_inverse_cov(values: np.ndarray, ridge_scale: float = 1e-8) -> np.ndarray:
-    d = values.shape[1]
-    cov = np.atleast_2d(np.cov(values, rowvar=False, ddof=1))
-    try:
-        return np.linalg.inv(cov)
-    except np.linalg.LinAlgError:
-        ridge = ridge_scale * np.trace(cov) / d
-        try:
-            return np.linalg.inv(cov + ridge * np.eye(d))
-        except np.linalg.LinAlgError:
-            raise NumericError("singular shard covariance") from None
-
-
 def pooled_center_scale(
     subset_draws: Sequence[DrawMatrix],
 ) -> tuple[PooledTransform, list[DrawMatrix]]:
@@ -76,7 +64,7 @@ def pooled_center_scale(
         if dm.T < 2:
             raise DataError("pooling needs at least 2 draws per shard")
     means = [dm.values.mean(axis=0) for dm in subset_draws]
-    inverses = [_shard_inverse_cov(dm.values) for dm in subset_draws]
+    inverses = [_inverse_covariance(dm.values) for dm in subset_draws]
     mean = np.mean(np.stack(means), axis=0)
     pooled_inv = np.mean(np.stack(inverses), axis=0)
     pooled_inv = (pooled_inv + pooled_inv.T) / 2.0

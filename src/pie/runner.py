@@ -27,14 +27,14 @@ from .combine import (
     average_quantile_tables,
     default_grid,
     consensus_combine,
-    empirical_quantile,
     pie_interval,
     quantile_table,
     sample_from_table,
 )
-from .config import CONFIG_FAMILIES, ExperimentConfig
+from .config import ExperimentConfig
 from .data import load_csv, simulate_linear, simulate_univariate
 from .errors import ConfigError, DataError, PieError
+from .families import CONJUGATE
 from .metrics import accuracy, quantile_gap, table_moments, w2_from_tables
 from .models import ObservationSet, TemperedTarget, apply_functional, partition
 from .multidim import combine_multidim
@@ -80,21 +80,21 @@ def _versions() -> dict:
 
 
 def _dataset(cfg: ExperimentConfig, seed: int) -> ObservationSet:
+    family = CONJUGATE[cfg.model.family]
     if cfg.data_source == "csv":
         obs = load_csv(cfg.data_path)
         if obs.n != cfg.n:
             raise DataError(
                 f"config says n={cfg.n} but {cfg.data_path} has {obs.n} rows"
             )
-        if cfg.model.family == "normal-linear-nig" and obs.p != cfg.model.parameter_dim - 1:
+        if family.regression and obs.p != cfg.model.parameter_dim - 1:
             raise DataError("csv design dimension does not match the model")
         return obs
-    family = CONFIG_FAMILIES[cfg.model.family]
-    if family == "normal-linear":
+    if family.regression:
         return simulate_linear(cfg.n, cfg.model.parameter_dim - 1, seed)
     if cfg.true_theta is None:
         raise ConfigError("simulated univariate data requires data.true_theta")
-    return simulate_univariate(family, cfg.true_theta, cfg.n, seed)
+    return simulate_univariate(family.simulate, cfg.true_theta, cfg.n, seed)
 
 
 def _exact_draws(cfg: ExperimentConfig, shard: ObservationSet, temper: float,
@@ -154,17 +154,8 @@ def _sample_all_shards(cfg, obs, plan, master_seed, workers) -> list:
 
 
 def _true_xi(cfg: ExperimentConfig, obs: ObservationSet, functional) -> Optional[float]:
-    if cfg.model.family == "normal-linear-nig":
-        beta0 = obs.meta.get("beta0")
-        sigma2 = obs.meta.get("sigma2")
-        if beta0 is None or sigma2 is None:
-            return None
-        theta0 = np.array(list(beta0) + [float(sigma2)])
-    elif cfg.true_theta is not None:
-        theta0 = np.array([cfg.true_theta])
-    else:
-        return None
-    return float(functional.a @ theta0 + functional.b)
+    theta0 = CONJUGATE[cfg.model.family].true_theta(cfg.true_theta, obs.meta)
+    return None if theta0 is None else float(functional.a @ theta0 + functional.b)
 
 
 def _run_seed(cfg: ExperimentConfig, master_seed: int, workers: int,
@@ -197,18 +188,14 @@ def _run_seed(cfg: ExperimentConfig, master_seed: int, workers: int,
             per_source["combined"] = average_quantile_tables(
                 [per_source[f"shard{j}"] for j in range(K)]
             )
-            for alpha in cfg.alpha_levels:
-                est = pie_interval(shard_xi, alpha)
-                intervals.append({"functional": name, "alpha": alpha,
-                                  "lower": est.lower, "upper": est.upper})
+            interval_xi = shard_xi
         else:
-            combined_xi = apply_functional(functional, combined_dm)
-            per_source["combined"] = quantile_table(combined_xi, grid)
-            for alpha in cfg.alpha_levels:
-                lower = empirical_quantile(combined_xi, alpha / 2.0)
-                upper = empirical_quantile(combined_xi, 1.0 - alpha / 2.0)
-                intervals.append({"functional": name, "alpha": alpha,
-                                  "lower": lower, "upper": upper})
+            interval_xi = [apply_functional(functional, combined_dm)]
+            per_source["combined"] = quantile_table(interval_xi[0], grid)
+        for alpha in cfg.alpha_levels:
+            est = pie_interval(interval_xi, alpha)
+            intervals.append({"functional": name, "alpha": alpha,
+                              "lower": est.lower, "upper": est.upper})
         tables[name] = per_source
     timings["combine"] = timings.get("combine", 0.0) + time.perf_counter() - t0
 

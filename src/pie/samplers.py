@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import rng
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, NumericError, coerce
+from .families import BERNOULLI, EXPONENTIAL, LINEAR, POISSON, NormalLinearPosterior
 from .models import TemperedTarget
 
 
@@ -79,7 +79,7 @@ class ChainConfig:
                 "chain config retains fewer than 2 draws; increase T_total"
             )
         if self.proposal_scale != "auto":
-            s = float(self.proposal_scale)
+            s = coerce(self.proposal_scale, float, "proposal_scale")
             if not (math.isfinite(s) and s > 0):
                 raise ConfigError("proposal_scale must be positive or 'auto'")
             object.__setattr__(self, "proposal_scale", s)
@@ -89,98 +89,43 @@ class ChainConfig:
         return int(self.T_total * (1.0 - self.burn_fraction) / self.thin)
 
 
-def _check_shard(shard_y, temper, a, b) -> np.ndarray:
-    y = np.asarray(shard_y, dtype=float).ravel()
-    if y.size == 0:
-        raise DataError("empty shard")
-    if not np.all(np.isfinite(y)):
-        raise DataError("shard contains non-finite values")
-    if a <= 0 or b <= 0:
-        raise ConfigError(f"hyperparameters must be positive, got a={a}, b={b}")
-    if not (math.isfinite(temper) and temper >= 1.0):
-        raise ConfigError("temper must be a finite real >= 1")
-    return y
-
-
-def _check_T(T: int):
+def _exact(family, post, T: int, seed: int, shard_id) -> DrawMatrix:
     if T < 1:
         raise ConfigError("number of draws T must be >= 1")
+    return DrawMatrix(family.draw(post, T, rng.stream(seed)), shard_id=shard_id,
+                      seed_used=seed)
 
 
 def poisson_gamma_params(shard_y, temper, a, b) -> tuple[float, float]:
     """(shape, rate) of the tempered Poisson-count shard posterior."""
-    y = _check_shard(shard_y, temper, a, b)
-    if np.any(y < 0) or np.any(y != np.floor(y)):
-        raise DataError("poisson-gamma shard must contain nonnegative counts")
-    return temper * y.sum() + a, temper * y.size + b
+    return POISSON.posterior({"a": a, "b": b}, shard_y, None, temper)
 
 
 def exponential_gamma_params(shard_y, temper, a, b) -> tuple[float, float]:
     """(shape, rate) of the tempered exponential-rate shard posterior."""
-    y = _check_shard(shard_y, temper, a, b)
-    if np.any(y <= 0):
-        raise DataError("exponential-gamma shard must contain positive values")
-    return temper * y.size + a, temper * y.sum() + b
+    return EXPONENTIAL.posterior({"a": a, "b": b}, shard_y, None, temper)
 
 
 def bernoulli_beta_params(shard_y, temper, a, b) -> tuple[float, float]:
     """(alpha, beta) of the tempered Bernoulli-probability shard posterior."""
-    y = _check_shard(shard_y, temper, a, b)
-    if np.any((y != 0) & (y != 1)):
-        raise DataError("bernoulli-beta shard must be binary")
-    return temper * y.sum() + a, temper * (y.size - y.sum()) + b
+    return BERNOULLI.posterior({"a": a, "b": b}, shard_y, None, temper)
 
 
 def sample_poisson_gamma(shard_y, temper, a, b, T, seed, shard_id=None) -> DrawMatrix:
     """Exact draws from the tempered Poisson-count shard posterior."""
-    _check_T(T)
-    shape, rate = poisson_gamma_params(shard_y, temper, a, b)
-    draws = rng.stream(seed).gamma(shape, 1.0 / rate, size=T)
-    return DrawMatrix(draws, shard_id=shard_id, seed_used=seed)
+    return _exact(POISSON, poisson_gamma_params(shard_y, temper, a, b), T, seed, shard_id)
 
 
 def sample_exponential_gamma(shard_y, temper, a, b, T, seed, shard_id=None) -> DrawMatrix:
     """Exact draws from the tempered exponential-rate shard posterior."""
-    _check_T(T)
-    shape, rate = exponential_gamma_params(shard_y, temper, a, b)
-    draws = rng.stream(seed).gamma(shape, 1.0 / rate, size=T)
-    return DrawMatrix(draws, shard_id=shard_id, seed_used=seed)
+    return _exact(EXPONENTIAL, exponential_gamma_params(shard_y, temper, a, b), T, seed,
+                  shard_id)
 
 
 def sample_bernoulli_beta(shard_y, temper, a, b, T, seed, shard_id=None) -> DrawMatrix:
     """Exact draws from the tempered Bernoulli-probability shard posterior."""
-    _check_T(T)
-    alpha, beta = bernoulli_beta_params(shard_y, temper, a, b)
-    draws = rng.stream(seed).beta(alpha, beta, size=T)
-    return DrawMatrix(draws, shard_id=shard_id, seed_used=seed)
-
-
-@dataclass(frozen=True, eq=False)
-class NormalLinearPosterior:
-    """Closed-form tempered posterior for the normal linear model.
-
-    The noise variance is inverse-gamma distributed with the given shape and
-    rate; conditionally on it, the coefficients are normal with the given
-    location and precision-scaled covariance.  Marginally the coefficients
-    follow a multivariate t with ``2 * noise_shape`` degrees of freedom and
-    covariance ``noise_rate / (noise_shape - 1) * inv(coef_precision)``.
-    """
-
-    coef_location: np.ndarray
-    coef_precision: np.ndarray
-    noise_shape: float
-    noise_rate: float
-
-    def coef_covariance(self) -> np.ndarray:
-        return self.noise_rate / (self.noise_shape - 1.0) \
-            * np.linalg.inv(self.coef_precision)
-
-    def noise_variance_mean(self) -> float:
-        return self.noise_rate / (self.noise_shape - 1.0)
-
-    def noise_variance_var(self) -> float:
-        s, r = self.noise_shape, self.noise_rate
-        return r * r / ((s - 1.0) ** 2 * (s - 2.0))
+    return _exact(BERNOULLI, bernoulli_beta_params(shard_y, temper, a, b), T, seed,
+                  shard_id)
 
 
 def normal_linear_nig_params(y, Z, temper, mu_star, omega, a, b) -> NormalLinearPosterior:
@@ -189,43 +134,8 @@ def normal_linear_nig_params(y, Z, temper, mu_star, omega, a, b) -> NormalLinear
     Completes the square in the coefficients, so the inverse-gamma rate is
     exact for any prior location, not only a centered one.
     """
-    y = np.asarray(y, dtype=float).ravel()
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    if y.size == 0:
-        raise DataError("empty shard")
-    if Z.shape[0] != y.size:
-        raise ConfigError(f"design has {Z.shape[0]} rows for {y.size} responses")
-    if a <= 4 or b <= 0:
-        raise ConfigError("normal-linear-nig requires a > 4 and b > 0")
-    if not (math.isfinite(temper) and temper >= 1.0):
-        raise ConfigError("temper must be a finite real >= 1")
-    mu_star = np.atleast_1d(np.asarray(mu_star, dtype=float))
-    omega = np.atleast_2d(np.asarray(omega, dtype=float))
-    p = Z.shape[1]
-    if mu_star.size != p or omega.shape != (p, p):
-        raise ConfigError("mu_star and omega must match the design dimension")
-    try:
-        omega_inv = np.linalg.inv(omega)
-    except np.linalg.LinAlgError:
-        raise NumericError("singular prior covariance omega") from None
-    precision = temper * (Z.T @ Z) + omega_inv
-    rhs = temper * (Z.T @ y) + omega_inv @ mu_star
-    try:
-        location = np.linalg.solve(precision, rhs)
-    except np.linalg.LinAlgError:
-        raise NumericError(
-            "singular precision matrix temper * Z'Z + inv(omega)"
-        ) from None
-    m = y.size
-    bstar = b + mu_star @ omega_inv @ mu_star + temper * (y @ y) - rhs @ location
-    if bstar <= 0:
-        raise NumericError("nonpositive posterior rate; data or prior ill-posed")
-    return NormalLinearPosterior(
-        coef_location=location,
-        coef_precision=precision,
-        noise_shape=(a + temper * m) / 2.0,
-        noise_rate=bstar / 2.0,
-    )
+    return LINEAR.posterior({"mu_star": mu_star, "omega": omega, "a": a, "b": b},
+                            y, Z, temper)
 
 
 def sample_normal_linear_nig(y, Z, temper, mu_star, omega, a, b, T, seed,
@@ -236,23 +146,8 @@ def sample_normal_linear_nig(y, Z, temper, mu_star, omega, a, b, T, seed,
     from the conditional normal, which reproduces the marginal multivariate-t
     law without a dedicated t sampler.
     """
-    _check_T(T)
     post = normal_linear_nig_params(y, Z, temper, mu_star, omega, a, b)
-    p = post.coef_location.size
-    try:
-        L = np.linalg.cholesky(post.coef_precision)
-    except np.linalg.LinAlgError:
-        raise NumericError(
-            "singular precision matrix temper * Z'Z + inv(omega)"
-        ) from None
-    g = rng.stream(seed)
-    sigma2 = 1.0 / g.gamma(post.noise_shape, 1.0 / post.noise_rate, size=T)
-    z = g.standard_normal((T, p))
-    # L^{-T} z has covariance inv(precision)
-    white = solve_triangular(L, z.T, lower=True, trans="T").T
-    beta = post.coef_location + np.sqrt(sigma2)[:, None] * white
-    return DrawMatrix(np.column_stack([beta, sigma2]), shard_id=shard_id,
-                      seed_used=seed)
+    return _exact(LINEAR, post, T, seed, shard_id)
 
 
 _TARGET_ACCEPT = 0.234

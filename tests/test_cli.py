@@ -5,6 +5,7 @@ import yaml
 from click.testing import CliRunner
 
 from pie.cli import main
+from pie.config import load_config
 from pie.data import load_csv, read_quantile_table, write_draws
 
 
@@ -70,11 +71,31 @@ def test_output_dir_env_var(tmp_path, monkeypatch):
     assert (tmp_path / "env-run" / "metrics.json").exists()
 
 
+LINEAR_OVERRIDES = ["model.family=normal-linear-nig", "model.a=6", "data.p=2"]
+MALFORMED_OVERRIDES = [
+    ["model.a=abc"], ["model.a=[1,2]"], ["K=abc"], ["seeds=[a]"], ["alpha_levels=abc"],
+    ["chain.thin=abc"], ["chain.T_total=[1]"], ["grid_size=x"],
+    [*LINEAR_OVERRIDES, "data.p=x"], ["data.true_theta=x"], ["functionals=[{a: [x]}]"],
+    [*LINEAR_OVERRIDES, "model.omega=[[1,0],[0]]"], ["model=[1]"], ["chain=5"],
+]
+
+
 def test_config_error_exit_code(tmp_path):
     cfg = write_config(tmp_path / "cfg.yaml", alpha_levels=[2.0])
     result = CliRunner().invoke(main, ["run", "--config", str(cfg)])
     assert result.exit_code == 2
     assert "error" in result.output
+
+    # malformed values are config errors too, never a raw traceback
+    cfg = write_config(tmp_path / "ok.yaml")
+    load_config(cfg, dict(item.split("=", 1) for item in LINEAR_OVERRIDES))
+    for overrides in MALFORMED_OVERRIDES:
+        args = ["run", "--config", str(cfg), "--out", str(tmp_path / "never")]
+        for item in overrides:
+            args += ["--set", item]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2, (overrides, result.output, result.exception)
+        assert "error" in result.output
 
 
 def test_invalid_yaml_exit_code(tmp_path):

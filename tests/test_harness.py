@@ -175,17 +175,19 @@ class TestRunExperiment:
             assert "combined" in result.tables["f0"]
 
     def test_aggregated_shard_failure_names_shards(self):
-        # bernoulli data with a poisson-gamma model: every shard fails
-        cfg = poisson_config(
-            model=ModelSpec("exponential-gamma", {"a": 1.0, "b": 1.0}),
-            true_theta=2.0, n=100, K=2,
-        )
+        # poisson counts with an exponential-gamma model: every shard fails the
+        # family's support check, on the exact and the Metropolis path alike
         from pie.data import simulate_univariate
         bad = simulate_univariate("poisson", 0.2, 100, seed=0)  # contains zeros
         from pie import runner as runner_mod
         plan = partition(100, 2, 0)
-        with pytest.raises(DataError, match="shard 0"):
-            runner_mod._sample_all_shards(cfg, bad, plan, 0, workers=2)
+        for sampler in ("exact", "metropolis"):
+            cfg = poisson_config(
+                model=ModelSpec("exponential-gamma", {"a": 1.0, "b": 1.0}),
+                true_theta=2.0, n=100, K=2, sampler=sampler,
+            )
+            with pytest.raises(DataError, match="shard 0"):
+                runner_mod._sample_all_shards(cfg, bad, plan, 0, workers=2)
 
     def test_metropolis_pipeline_close_to_exact(self):
         from pie import table_moments

@@ -236,3 +236,55 @@ class TestMetropolis:
             ChainConfig(burn_fraction=1.0)
         with pytest.raises(ConfigError):
             ChainConfig(proposal_scale=-1.0)
+
+
+
+class TestKernelMatchesExactUpdate:
+    """The Metropolis target and the exact update describe the same law:
+    log_density minus the exact posterior's log pdf is constant in theta."""
+
+    @staticmethod
+    def spread(target, thetas, logpdf):
+        diffs = [target.log_density(theta) - logpdf(theta) for theta in thetas]
+        return max(diffs) - min(diffs)
+
+    @pytest.mark.parametrize("temper", [1.0, 3.0])
+    @pytest.mark.parametrize("family, params, sample, y", [
+        ("poisson-gamma", poisson_gamma_params, sample_poisson_gamma,
+         [3, 1, 4, 1, 5, 0, 2]),
+        ("exponential-gamma", exponential_gamma_params, sample_exponential_gamma,
+         [0.5, 1.5, 0.2, 2.5]),
+        ("bernoulli-beta", bernoulli_beta_params, sample_bernoulli_beta,
+         [1, 0, 0, 1, 1, 0]),
+    ], ids=["poisson-gamma", "exponential-gamma", "bernoulli-beta"])
+    def test_scalar_families(self, family, params, sample, y, temper):
+        p1, p2 = params(y, temper, 1.5, 0.5)
+        law = sp_stats.beta(p1, p2) if family == "bernoulli-beta" \
+            else sp_stats.gamma(p1, scale=1.0 / p2)
+        target = TemperedTarget(ModelSpec(family, {"a": 1.5, "b": 0.5}),
+                                ObservationSet(y), temper)
+        thetas = sample(y, temper, 1.5, 0.5, T=6, seed=5).values
+        assert self.spread(target, thetas, lambda theta: law.logpdf(theta[0])) <= 1e-9
+
+    @pytest.mark.parametrize("temper", [1.0, 3.0])
+    def test_normal_linear(self, temper):
+        g = np.random.default_rng(17)
+        Z = g.standard_normal((30, 2))
+        y = Z @ np.array([1.0, -0.5]) + g.standard_normal(30)
+        mu_star, omega = [0.2, 0.0], 2.0 * np.eye(2)
+        model = ModelSpec("normal-linear-nig",
+                          {"a": 6.0, "b": 2.0, "mu_star": mu_star, "omega": omega},
+                          parameter_dim=3)
+        post = normal_linear_nig_params(y, Z, temper, mu_star, omega, 6.0, 2.0)
+        cov = np.linalg.inv(post.coef_precision)
+        noise = sp_stats.invgamma(post.noise_shape, scale=post.noise_rate)
+
+        def logpdf(theta):
+            beta, sigma2 = theta[:-1], theta[-1]
+            coef = sp_stats.multivariate_normal(post.coef_location, sigma2 * cov)
+            return noise.logpdf(sigma2) + coef.logpdf(beta)
+
+        thetas = sample_normal_linear_nig(y, Z, temper, mu_star, omega, 6.0, 2.0,
+                                          T=6, seed=5).values
+        target = TemperedTarget(model, ObservationSet(y, Z), temper)
+        assert self.spread(target, thetas, logpdf) <= 1e-9
