@@ -16,7 +16,7 @@ import click
 
 from . import __version__
 from .combine import default_grid, pie_interval, quantile_table, average_quantile_tables
-from .config import OUTPUT_DIR_ENV, load_config
+from .config import MODES, SAMPLERS, load_config
 from .data import (
     read_draws,
     read_quantile_table,
@@ -75,15 +75,15 @@ def simulate(family, n, theta0, p, seed, out):
               default=None, help="YAML experiment configuration.")
 @click.option("--set", "assignments", multiple=True, metavar="KEY=VALUE",
               help="Override any config key, e.g. --set chain.thin=2")
-@click.option("--mode", default=None,
-              type=click.Choice(["pie", "consensus", "multidim", "full-oracle"]))
+@click.option("--mode", default=None, type=click.Choice(MODES))
 @click.option("--n", "n", type=int, default=None)
 @click.option("--shards", "-K", "shards", type=int, default=None)
 @click.option("--seed", type=int, default=None, help="Replaces the seed list.")
-@click.option("--sampler", type=click.Choice(["exact", "metropolis"]), default=None)
+@click.option("--sampler", type=click.Choice(SAMPLERS), default=None)
 @click.option("--grid-size", type=int, default=None)
 @click.option("--out", type=click.Path(file_okay=False), default=None,
-              envvar=OUTPUT_DIR_ENV, help="Output directory.")
+              help="Output directory [default: config output_dir, else $PIE_OUT_DIR, "
+                   "else out].")
 @click.option("--workers", type=int, default=1, show_default=True)
 @click.option("--overwrite/--no-overwrite", default=False, show_default=True)
 @_exits_with_code

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -62,8 +63,13 @@ def simulate_linear(n: int, p: int, seed: int) -> ObservationSet:
     return ObservationSet(y, design, meta=meta)
 
 
-def load_csv(path) -> ObservationSet:
-    """Parse an observation CSV; errors name the offending line."""
+def _read_table(path) -> tuple[Path, list, np.ndarray]:
+    """Read a numeric CSV into its header names and a (rows, columns) array.
+
+    Every error is a ``DataError`` naming the file and, for a bad row, its
+    line: a row whose field count differs from the header's, a non-numeric
+    cell, or a non-finite value.
+    """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -73,36 +79,23 @@ def load_csv(path) -> ObservationSet:
     if not rows:
         raise DataError(f"{path}: empty file")
     header = [name.strip() for name in rows[0]]
-    if "y" not in header:
-        raise DataError(f"{path}: missing 'y' column")
-    x_names = [name for name in header if name != "y"]
-    p = len(x_names)
-    expected = [f"x{i}" for i in range(1, p + 1)]
-    if sorted(x_names) != sorted(expected):
-        raise DataError(f"{path}: design columns must be x1..x{p}, got {x_names}")
-    y_col = header.index("y")
-    x_cols = [header.index(name) for name in expected]
-    ys, xs = [], []
+    values = np.empty((len(rows) - 1, len(header)))
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise DataError(
                 f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
             )
         try:
-            values = [float(cell) for cell in row]
+            values[lineno - 2] = [float(cell) for cell in row]
         except ValueError:
             bad = next(c for c in row if not _is_float(c))
             raise DataError(
                 f"{path}: line {lineno}: non-numeric value '{bad}'"
             ) from None
-        if not all(math.isfinite(v) for v in values):
-            raise DataError(f"{path}: line {lineno}: non-finite value")
-        ys.append(values[y_col])
-        xs.append([values[c] for c in x_cols])
-    if not ys:
-        raise DataError(f"{path}: no data rows")
-    design = np.array(xs) if p else None
-    return ObservationSet(np.array(ys), design, meta={"source": str(path)})
+    bad_rows = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad_rows.size:
+        raise DataError(f"{path}: line {bad_rows[0] + 2}: non-finite value")
+    return path, header, values
 
 
 def _is_float(cell: str) -> bool:
@@ -113,66 +106,66 @@ def _is_float(cell: str) -> bool:
         return False
 
 
-def write_observations(obs: ObservationSet, path):
-    """Write an observation set back out under the CSV contract."""
-    path = Path(path)
-    header = ["y"] + [f"x{i}" for i in range(1, obs.p + 1)]
-    with path.open("w", encoding="utf-8", newline="") as fh:
+def write_rows(path, header: list, rows):
+    """Write a header and rows as CSV.
+
+    Each column holds either text, written as is, or numbers, written as
+    ``repr(float(v))`` so that they read back exactly.
+    """
+    rows = iter(rows)
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for i in range(obs.n):
-            row = [repr(float(obs.responses[i]))]
-            if obs.design is not None:
-                row += [repr(float(v)) for v in obs.design[i]]
-            writer.writerow(row)
+        # format blocks of rows column by column: a per-cell type check in
+        # Python costs about as much as the write itself
+        while block := list(islice(rows, 4096)):
+            columns = [col if isinstance(col[0], str) else map(repr, map(float, col))
+                       for col in zip(*block)]
+            writer.writerows(zip(*columns))
+
+
+def load_csv(path) -> ObservationSet:
+    """Parse an observation CSV; errors name the offending line."""
+    path, header, values = _read_table(path)
+    if "y" not in header:
+        raise DataError(f"{path}: missing 'y' column")
+    x_names = [name for name in header if name != "y"]
+    p = len(x_names)
+    expected = [f"x{i}" for i in range(1, p + 1)]
+    if sorted(x_names) != sorted(expected):
+        raise DataError(f"{path}: design columns must be x1..x{p}, got {x_names}")
+    if not len(values):
+        raise DataError(f"{path}: no data rows")
+    design = values[:, [header.index(name) for name in expected]] if p else None
+    return ObservationSet(values[:, header.index("y")], design,
+                          meta={"source": str(path)})
+
+
+def write_observations(obs: ObservationSet, path):
+    """Write an observation set back out under the CSV contract."""
+    header = ["y"] + [f"x{i}" for i in range(1, obs.p + 1)]
+    columns = [obs.responses] if obs.design is None else [obs.responses, *obs.design.T]
+    write_rows(path, header, zip(*columns))
 
 
 def write_quantile_table(table: QuantileTable, path):
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["u", "value"])
-        for u, v in zip(table.grid, table.values):
-            writer.writerow([repr(float(u)), repr(float(v))])
+    write_rows(path, ["u", "value"], zip(table.grid, table.values))
 
 
 def read_quantile_table(path) -> QuantileTable:
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    rows = list(csv.reader(text.splitlines()))
-    if not rows or [c.strip() for c in rows[0]] != ["u", "value"]:
+    path, header, values = _read_table(path)
+    if header != ["u", "value"]:
         raise DataError(f"{path}: expected header 'u,value'")
-    try:
-        grid = [float(r[0]) for r in rows[1:]]
-        values = [float(r[1]) for r in rows[1:]]
-    except (ValueError, IndexError):
-        raise DataError(f"{path}: malformed quantile table") from None
-    return QuantileTable(np.array(grid), np.array(values))
+    return QuantileTable(values[:, 0], values[:, 1])
 
 
 def write_draws(values: np.ndarray, path):
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"theta{i}" for i in range(1, values.shape[1] + 1)])
-        for row in values:
-            writer.writerow([repr(float(v)) for v in row])
+    write_rows(path, [f"theta{i}" for i in range(1, values.shape[1] + 1)], values)
 
 
 def read_draws(path) -> np.ndarray:
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    rows = list(csv.reader(text.splitlines()))
-    if len(rows) < 2:
+    path, _, values = _read_table(path)
+    if not len(values):
         raise DataError(f"{path}: no draws")
-    try:
-        return np.array([[float(c) for c in row] for row in rows[1:]])
-    except ValueError:
-        raise DataError(f"{path}: malformed draws file") from None
+    return values

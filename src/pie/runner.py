@@ -9,10 +9,12 @@ emitted.
 
 from __future__ import annotations
 
-import csv
 import json
+import os
 import platform
+import tempfile
 import time
+from itertools import repeat
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -32,7 +34,7 @@ from .combine import (
     sample_from_table,
 )
 from .config import ExperimentConfig
-from .data import load_csv, simulate_linear, simulate_univariate
+from .data import load_csv, simulate_linear, simulate_univariate, write_draws, write_rows
 from .errors import ConfigError, DataError, PieError
 from .families import CONJUGATE
 from .metrics import accuracy, quantile_gap, table_moments, w2_from_tables
@@ -222,7 +224,6 @@ def _run_seed(cfg: ExperimentConfig, master_seed: int, workers: int,
             "bias": None if xi0 is None else mean - xi0,
             "variance": variance,
             "quantile_gap": quantile_gap(combined_table, oracle_table, 0.05, 0.95),
-            "rate_slope": None,
         })
     timings["metrics"] = timings.get("metrics", 0.0) + time.perf_counter() - t0
 
@@ -252,11 +253,17 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     )
 
 
-def _write_csv(path: Path, header: list, rows):
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def _quantile_rows(result: SeedResult):
+    """Rows of ``quantiles.csv``: per functional, the shards in order, then combined."""
+    for name in result.functional_names:
+        per_source = result.tables[name]
+        sources = sorted(
+            (s for s in per_source if s != "combined"),
+            key=lambda s: int(s.removeprefix("shard")),
+        ) + ["combined"]
+        for source in sources:
+            table = per_source[source]
+            yield from zip(repeat(name), table.grid, table.values, repeat(source))
 
 
 def emit_report(report: ExperimentReport, out_dir, overwrite: bool = False) -> list:
@@ -267,6 +274,10 @@ def emit_report(report: ExperimentReport, out_dir, overwrite: bool = False) -> l
     one file exempt from byte-level determinism), and per seed a
     ``seed-<s>/`` directory with ``quantiles.csv``, ``intervals.csv`` and,
     for modes that produce combined draws, ``draws.csv``.
+
+    The files are first written to a staging directory inside ``out_dir``
+    and only then moved into place, so a failed write leaves no partial
+    report behind.
     """
     out = Path(out_dir)
     targets = [out / "config.yaml", out / "metrics.json", out / "timings.json"]
@@ -281,55 +292,42 @@ def emit_report(report: ExperimentReport, out_dir, overwrite: bool = False) -> l
         if existing:
             raise ConfigError(f"refusing to overwrite existing files: {existing}")
 
-    out.mkdir(parents=True, exist_ok=True)
     try:
-        (out / "config.yaml").write_text(
-            yaml.safe_dump({"config": report.config, "versions": report.versions},
-                           sort_keys=True),
-            encoding="utf-8",
-        )
-        cells = [cell for result in report.seed_results for cell in result.cells]
-        (out / "metrics.json").write_text(
-            json.dumps({"cells": cells}, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        (out / "timings.json").write_text(
-            json.dumps(report.timings, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        for result in report.seed_results:
-            seed_dir = out / f"seed-{result.seed}"
-            seed_dir.mkdir(exist_ok=True)
-            rows = []
-            for name in result.functional_names:
-                per_source = result.tables[name]
-                sources = sorted(
-                    (s for s in per_source if s != "combined"),
-                    key=lambda s: int(s.removeprefix("shard")),
-                ) + ["combined"]
-                for source in sources:
-                    table = per_source[source]
-                    rows.extend(
-                        [name, repr(float(u)), repr(float(v)), source]
-                        for u, v in zip(table.grid, table.values)
-                    )
-            _write_csv(seed_dir / "quantiles.csv",
-                       ["functional", "u", "value", "source"], rows)
-            _write_csv(
-                seed_dir / "intervals.csv",
-                ["functional", "alpha", "lower", "upper"],
-                [
-                    [e["functional"], repr(float(e["alpha"])),
-                     repr(float(e["lower"])), repr(float(e["upper"]))]
-                    for e in result.intervals
-                ],
+        out.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory(prefix=".staging-", dir=out,
+                                         ignore_cleanup_errors=True) as staging:
+            stage = Path(staging)
+            (stage / "config.yaml").write_text(
+                yaml.safe_dump({"config": report.config, "versions": report.versions},
+                               sort_keys=True),
+                encoding="utf-8",
             )
-            if result.combined_draws is not None:
-                _write_csv(
-                    seed_dir / "draws.csv",
-                    [f"theta{i}" for i in range(1, result.combined_draws.shape[1] + 1)],
-                    [[repr(float(v)) for v in row] for row in result.combined_draws],
+            cells = [cell for result in report.seed_results for cell in result.cells]
+            (stage / "metrics.json").write_text(
+                json.dumps({"cells": cells}, indent=2, sort_keys=True) + "\n",
+                encoding="utf-8",
+            )
+            (stage / "timings.json").write_text(
+                json.dumps(report.timings, indent=2, sort_keys=True) + "\n",
+                encoding="utf-8",
+            )
+            for result in report.seed_results:
+                seed_dir = stage / f"seed-{result.seed}"
+                seed_dir.mkdir()
+                write_rows(seed_dir / "quantiles.csv",
+                           ["functional", "u", "value", "source"], _quantile_rows(result))
+                write_rows(
+                    seed_dir / "intervals.csv",
+                    ["functional", "alpha", "lower", "upper"],
+                    [[e["functional"], e["alpha"], e["lower"], e["upper"]]
+                     for e in result.intervals],
                 )
+                if result.combined_draws is not None:
+                    write_draws(result.combined_draws, seed_dir / "draws.csv")
+            for target in targets:
+                target.parent.mkdir(exist_ok=True)
+            for target in targets:
+                os.replace(stage / target.relative_to(out), target)
     except OSError as exc:
         raise DataError(f"failed writing report under {out}: {exc}") from None
     return targets

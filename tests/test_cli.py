@@ -70,6 +70,13 @@ def test_output_dir_env_var(tmp_path, monkeypatch):
     assert result.exit_code == 0, result.output
     assert (tmp_path / "env-run" / "metrics.json").exists()
 
+    # the config's output_dir beats the variable, on the CLI as in load_config
+    cfg = write_config(tmp_path / "cfg-out.yaml", output_dir=str(tmp_path / "cfg-run"))
+    assert load_config(cfg).output_dir == str(tmp_path / "cfg-run")
+    result = CliRunner().invoke(main, ["run", "--config", str(cfg)])
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "cfg-run" / "metrics.json").exists()
+
 
 LINEAR_OVERRIDES = ["model.family=normal-linear-nig", "model.a=6", "data.p=2"]
 MALFORMED_OVERRIDES = [
@@ -154,6 +161,18 @@ def test_combine_and_metrics_commands(tmp_path):
     assert metrics_result.exit_code == 0, metrics_result.output
     payload = json.loads(metrics_result.output)
     assert set(payload) == {"w2", "quantile_gap"}
+
+
+def test_non_finite_draws_exit_code(tmp_path):
+    path = tmp_path / "draws.csv"
+    path.write_text("theta1\n0.5\n1.5\nnan\n2.5\n", encoding="utf-8")
+    for args in (["combine", str(path), "--out", str(tmp_path / "table.csv")],
+                 ["metrics", "--samples-a", str(path), "--samples-b", str(path)]):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 3, (args, result.output)
+        assert "line 4: non-finite value" in result.output
+        assert "NaN" not in result.output
+    assert not (tmp_path / "table.csv").exists()
 
 
 def test_numeric_error_exit_code(tmp_path):

@@ -16,6 +16,10 @@ from pie import (
     write_quantile_table,
 )
 
+# every reader of a two-column numeric file, with a header it accepts
+READERS = [(load_csv, "y,x1"), (read_draws, "theta1,theta2"),
+           (read_quantile_table, "u,value")]
+
 
 class TestSimulateLinear:
     def test_sparse_alternating_coefficients(self):
@@ -79,15 +83,17 @@ class TestLoadCsv:
 
     def test_parse_error_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("y,x1\n1,abc\n", encoding="utf-8")
-        with pytest.raises(DataError, match="line 2"):
-            load_csv(path)
+        for reader, header in READERS:
+            path.write_text(f"{header}\n0.5,abc\n", encoding="utf-8")
+            with pytest.raises(DataError, match="line 2: non-numeric value 'abc'"):
+                reader(path)
 
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("y,x1\n1,2\n3\n", encoding="utf-8")
-        with pytest.raises(DataError, match="line 3"):
-            load_csv(path)
+        for reader, header in READERS:
+            path.write_text(f"{header}\n0.25,2\n0.75\n", encoding="utf-8")
+            with pytest.raises(DataError, match="line 3: expected 2 fields, got 1"):
+                reader(path)
 
     def test_missing_y(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -100,6 +106,11 @@ class TestLoadCsv:
         path.write_text("y\nnan\n", encoding="utf-8")
         with pytest.raises(DataError, match="line 2"):
             load_csv(path)
+        for reader, header in READERS:
+            for cell in ("nan", "inf", "-inf"):
+                path.write_text(f"{header}\n0.25,1\n0.5,{cell}\n", encoding="utf-8")
+                with pytest.raises(DataError, match="line 3: non-finite value"):
+                    reader(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):

@@ -116,7 +116,7 @@ class TestRunExperiment:
         assert len(result.intervals) == 1
         cell = result.cells[0]
         assert set(cell) == {"seed", "functional", "w2", "accuracy", "bias",
-                             "variance", "quantile_gap", "rate_slope"}
+                             "variance", "quantile_gap"}
 
     def test_full_oracle_matches_analytic_posterior(self):
         cfg = poisson_config(mode="full-oracle", n=400,
@@ -230,6 +230,17 @@ class TestEmitReport:
         with pytest.raises(ConfigError, match="existing"):
             emit_report(report, cfg.output_dir)
         emit_report(report, cfg.output_dir, overwrite=True)
+
+    def test_failed_write_leaves_no_partial_report(self, tmp_path):
+        cfg = poisson_config(output_dir=str(tmp_path / "run"))
+        report = run_experiment(cfg)
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "seed-0").write_text("not a directory", encoding="utf-8")
+        with pytest.raises(DataError, match="failed writing report"):
+            emit_report(report, cfg.output_dir)
+        assert sorted(p.name for p in out.iterdir()) == ["seed-0"]
+        assert (out / "seed-0").read_text(encoding="utf-8") == "not a directory"
 
     def test_multidim_emits_draws(self, tmp_path):
         cfg = poisson_config(mode="multidim", n=300, K=2,
