@@ -18,14 +18,17 @@ from . import __version__
 from .combine import default_grid, pie_interval, quantile_table, average_quantile_tables
 from .config import MODES, SAMPLERS, load_config
 from .data import (
+    _read_table,
     read_draws,
+    read_json,
     read_quantile_table,
     simulate_linear,
     simulate_univariate,
+    write_json,
     write_observations,
     write_quantile_table,
 )
-from .errors import PieError
+from .errors import DataError, PieError
 from .metrics import accuracy, bias_variance_summary, quantile_gap, w2_from_tables
 from .runner import emit_report, run_experiment
 
@@ -96,20 +99,9 @@ def run(config_path, assignments, mode, n, shards, seed, sampler, grid_size, out
             raise click.UsageError(f"--set expects KEY=VALUE, got '{item}'")
         key, value = item.split("=", 1)
         overrides[key] = value
-    if mode is not None:
-        overrides["mode"] = mode
-    if n is not None:
-        overrides["n"] = n
-    if shards is not None:
-        overrides["K"] = shards
-    if seed is not None:
-        overrides["seeds"] = [seed]
-    if sampler is not None:
-        overrides["sampler"] = sampler
-    if grid_size is not None:
-        overrides["grid_size"] = grid_size
-    if out is not None:
-        overrides["output_dir"] = out
+    flags = {"mode": mode, "n": n, "K": shards, "seeds": None if seed is None else [seed],
+             "sampler": sampler, "grid_size": grid_size, "output_dir": out}
+    overrides.update((key, value) for key, value in flags.items() if value is not None)
     cfg = load_config(config_path, overrides)
     report = run_experiment(cfg, workers=workers)
     paths = emit_report(report, cfg.output_dir, overwrite=overwrite)
@@ -170,12 +162,11 @@ def metrics(table_a, table_b, samples_a, samples_b, u1, u2, xi0, out):
             result["variance"] = variance
     if not result:
         raise click.UsageError("provide --table-a/--table-b or --samples-a/--samples-b")
-    text = json.dumps(result, indent=2, sort_keys=True)
     if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        write_json(out, result)
         click.echo(f"wrote {out}")
     else:
-        click.echo(text)
+        click.echo(json.dumps(result, indent=2, sort_keys=True))
 
 
 @main.command()
@@ -186,22 +177,29 @@ def report(run_dir):
     run_dir = Path(run_dir)
     metrics_path = run_dir / "metrics.json"
     if metrics_path.exists():
-        cells = json.loads(metrics_path.read_text(encoding="utf-8"))["cells"]
+        doc = read_json(metrics_path)
+        cells = doc.get("cells") if isinstance(doc, dict) else None
+        if not isinstance(cells, list):
+            raise DataError(f"{metrics_path}: expected a 'cells' list")
         click.echo(f"{len(cells)} metric cells")
         for cell in cells:
-            parts = [f"seed={cell['seed']}", f"functional={cell['functional']}"]
-            for key in ("w2", "accuracy", "bias", "variance", "quantile_gap"):
-                value = cell.get(key)
-                if value is not None:
-                    parts.append(f"{key}={value:.6g}")
+            try:
+                parts = [f"seed={cell['seed']}", f"functional={cell['functional']}"]
+                for key in ("w2", "accuracy", "bias", "variance", "quantile_gap"):
+                    value = cell.get(key)
+                    if value is not None:
+                        parts.append(f"{key}={value:.6g}")
+            except (TypeError, KeyError, ValueError):
+                raise DataError(f"{metrics_path}: malformed cell {cell!r}") from None
             click.echo("  " + " ".join(parts))
     for intervals in sorted(run_dir.glob("seed-*/intervals.csv")):
+        _, _, (names,), values = _read_table(
+            intervals, ["functional", "alpha", "lower", "upper"], text_columns=1)
         click.echo(f"{intervals.parent.name}:")
-        for line in intervals.read_text(encoding="utf-8").splitlines()[1:]:
-            name, alpha, lower, upper = line.split(",")
+        for name, (alpha, lower, upper) in zip(names, values):
             click.echo(
-                f"  {name}: {100 * (1 - float(alpha)):g}% interval "
-                f"[{float(lower):.6g}, {float(upper):.6g}]"
+                f"  {name}: {100 * (1 - alpha):g}% interval "
+                f"[{lower:.6g}, {upper:.6g}]"
             )
 
 

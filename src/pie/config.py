@@ -166,7 +166,6 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
                              "chain.burn_fraction"),
         thin=coerce(chain_raw.get("thin", 5), int, "chain.thin"),
         proposal_scale=chain_raw.get("proposal_scale", "auto"),
-        seed=coerce(chain_raw.get("seed", 0), int, "chain.seed"),
     )
 
     functionals_raw = raw.get("functionals")

@@ -7,6 +7,7 @@ CSV contract: header row, column ``y`` for responses, optional columns
 from __future__ import annotations
 
 import csv
+import json
 import math
 from itertools import islice
 from pathlib import Path
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import rng
 from .combine import QuantileTable
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericError
 from .models import ObservationSet
 
 
@@ -63,12 +64,15 @@ def simulate_linear(n: int, p: int, seed: int) -> ObservationSet:
     return ObservationSet(y, design, meta=meta)
 
 
-def _read_table(path) -> tuple[Path, list, np.ndarray]:
-    """Read a numeric CSV into its header names and a (rows, columns) array.
+def _read_table(path, expected_header=None,
+                text_columns: int = 0) -> tuple[Path, list, list, np.ndarray]:
+    """Read a CSV into its header names, its text cells and a numeric array.
 
-    Every error is a ``DataError`` naming the file and, for a bad row, its
-    line: a row whose field count differs from the header's, a non-numeric
-    cell, or a non-finite value.
+    The first ``text_columns`` columns stay text, one list per column; the
+    rest fill a (rows, columns) float array.  Every error is a ``DataError``
+    naming the file and, for a bad row, its line: a header other than
+    ``expected_header`` (when given), a row whose field count differs from
+    the header's, a non-numeric cell, or a non-finite value.
     """
     path = Path(path)
     try:
@@ -79,23 +83,26 @@ def _read_table(path) -> tuple[Path, list, np.ndarray]:
     if not rows:
         raise DataError(f"{path}: empty file")
     header = [name.strip() for name in rows[0]]
-    values = np.empty((len(rows) - 1, len(header)))
+    if expected_header is not None and header != expected_header:
+        raise DataError(f"{path}: expected header '{','.join(expected_header)}'")
+    values = np.empty((len(rows) - 1, len(header) - text_columns))
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise DataError(
                 f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
             )
         try:
-            values[lineno - 2] = [float(cell) for cell in row]
+            values[lineno - 2] = [float(cell) for cell in row[text_columns:]]
         except ValueError:
-            bad = next(c for c in row if not _is_float(c))
+            bad = next(c for c in row[text_columns:] if not _is_float(c))
             raise DataError(
                 f"{path}: line {lineno}: non-numeric value '{bad}'"
             ) from None
     bad_rows = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if bad_rows.size:
         raise DataError(f"{path}: line {bad_rows[0] + 2}: non-finite value")
-    return path, header, values
+    labels = [[row[i] for row in rows[1:]] for i in range(text_columns)]
+    return path, header, labels, values
 
 
 def _is_float(cell: str) -> bool:
@@ -113,20 +120,45 @@ def write_rows(path, header: list, rows):
     ``repr(float(v))`` so that they read back exactly.
     """
     rows = iter(rows)
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        # format blocks of rows column by column: a per-cell type check in
-        # Python costs about as much as the write itself
-        while block := list(islice(rows, 4096)):
-            columns = [col if isinstance(col[0], str) else map(repr, map(float, col))
-                       for col in zip(*block)]
-            writer.writerows(zip(*columns))
+    try:
+        with Path(path).open("w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            # format blocks of rows column by column: a per-cell type check in
+            # Python costs about as much as the write itself
+            while block := list(islice(rows, 4096)):
+                columns = [col if isinstance(col[0], str) else map(repr, map(float, col))
+                           for col in zip(*block)]
+                writer.writerows(zip(*columns))
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from None
+
+
+def write_json(path, obj):
+    """Write ``obj`` as indented JSON with sorted keys."""
+    try:
+        Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
+                              encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from None
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite value {name}")
+
+
+def read_json(path):
+    """Parse a JSON file strictly: ``NaN`` and ``Infinity`` are rejected."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"),
+                          parse_constant=_reject_constant)
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
 
 
 def load_csv(path) -> ObservationSet:
     """Parse an observation CSV; errors name the offending line."""
-    path, header, values = _read_table(path)
+    path, header, _, values = _read_table(path)
     if "y" not in header:
         raise DataError(f"{path}: missing 'y' column")
     x_names = [name for name in header if name != "y"]
@@ -153,10 +185,11 @@ def write_quantile_table(table: QuantileTable, path):
 
 
 def read_quantile_table(path) -> QuantileTable:
-    path, header, values = _read_table(path)
-    if header != ["u", "value"]:
-        raise DataError(f"{path}: expected header 'u,value'")
-    return QuantileTable(values[:, 0], values[:, 1])
+    path, _, _, values = _read_table(path, ["u", "value"])
+    try:
+        return QuantileTable(values[:, 0], values[:, 1])
+    except (ConfigError, NumericError) as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def write_draws(values: np.ndarray, path):
@@ -165,7 +198,7 @@ def write_draws(values: np.ndarray, path):
 
 
 def read_draws(path) -> np.ndarray:
-    path, _, values = _read_table(path)
+    path, _, _, values = _read_table(path)
     if not len(values):
         raise DataError(f"{path}: no draws")
     return values

@@ -9,14 +9,14 @@ emitted.
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import tempfile
 import time
-from itertools import repeat
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
+from itertools import repeat
 from pathlib import Path
 from typing import Optional
 
@@ -34,7 +34,8 @@ from .combine import (
     sample_from_table,
 )
 from .config import ExperimentConfig
-from .data import load_csv, simulate_linear, simulate_univariate, write_draws, write_rows
+from .data import (load_csv, simulate_linear, simulate_univariate, write_draws,
+                   write_json, write_rows)
 from .errors import ConfigError, DataError, PieError
 from .families import CONJUGATE
 from .metrics import accuracy, quantile_gap, table_moments, w2_from_tables
@@ -52,7 +53,12 @@ from .samplers import (
 
 @dataclass
 class SeedResult:
-    """All artifacts produced by one replicate (one master seed)."""
+    """All artifacts produced by one replicate (one master seed).
+
+    ``tables`` maps each functional name, in ``functional_names`` order, to
+    its quantile tables by source: ``shard0`` .. ``shard<K-1>`` ascending,
+    then ``combined``.  ``emit_report`` writes them in this order.
+    """
 
     seed: int
     functional_names: list
@@ -132,27 +138,21 @@ def _sample_shard(cfg: ExperimentConfig, obs: ObservationSet, plan, master_seed:
 
 
 def _sample_all_shards(cfg, obs, plan, master_seed, workers) -> list:
-    K = plan.K
-    results: list = [None] * K
-    failures: list = []
+    def attempt(j):
+        try:
+            return _sample_shard(cfg, obs, plan, master_seed, j), None
+        except Exception as exc:  # noqa: BLE001 - aggregated below
+            return None, exc
+
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        futures = {
-            pool.submit(_sample_shard, cfg, obs, plan, master_seed, j): j
-            for j in range(K)
-        }
-        for future in as_completed(futures):
-            j = futures[future]
-            try:
-                results[j] = future.result()
-            except Exception as exc:  # noqa: BLE001 - aggregated below
-                failures.append((j, exc))
+        outcomes = list(pool.map(attempt, range(plan.K)))
+    failures = [(j, exc) for j, (_, exc) in enumerate(outcomes) if exc is not None]
     if failures:
-        failures.sort()
         detail = "; ".join(f"shard {j}: {exc}" for j, exc in failures)
         first = failures[0][1]
         cls = type(first) if isinstance(first, PieError) else PieError
         raise cls(f"shard sampling failed: {detail}")
-    return results
+    return [draws for draws, _ in outcomes]
 
 
 def _true_xi(cfg: ExperimentConfig, obs: ObservationSet, functional) -> Optional[float]:
@@ -187,9 +187,7 @@ def _run_seed(cfg: ExperimentConfig, master_seed: int, workers: int,
             f"shard{j}": quantile_table(xi, grid) for j, xi in enumerate(shard_xi)
         }
         if combined_dm is None:
-            per_source["combined"] = average_quantile_tables(
-                [per_source[f"shard{j}"] for j in range(K)]
-            )
+            per_source["combined"] = average_quantile_tables(list(per_source.values()))
             interval_xi = shard_xi
         else:
             interval_xi = [apply_functional(functional, combined_dm)]
@@ -254,16 +252,39 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
 
 
 def _quantile_rows(result: SeedResult):
-    """Rows of ``quantiles.csv``: per functional, the shards in order, then combined."""
-    for name in result.functional_names:
-        per_source = result.tables[name]
-        sources = sorted(
-            (s for s in per_source if s != "combined"),
-            key=lambda s: int(s.removeprefix("shard")),
-        ) + ["combined"]
-        for source in sources:
-            table = per_source[source]
+    """Rows of ``quantiles.csv``, in the order of ``result.tables``."""
+    for name, per_source in result.tables.items():
+        for source, table in per_source.items():
             yield from zip(repeat(name), table.grid, table.values, repeat(source))
+
+
+def _report_files(report: ExperimentReport) -> dict:
+    """Map each report file's path, relative to the output directory, to a
+    call that writes that file to a given path.
+
+    The mapping's order is the report's order: the returned paths, the
+    overwrite check, the staged writes and the moves all follow it.
+    """
+    echo = {"config": report.config, "versions": report.versions}
+    files = {
+        Path("config.yaml"): lambda path: path.write_text(
+            yaml.safe_dump(echo, sort_keys=True), encoding="utf-8"),
+        Path("metrics.json"): partial(write_json, obj={"cells": [
+            cell for result in report.seed_results for cell in result.cells]}),
+        Path("timings.json"): partial(write_json, obj=report.timings),
+    }
+    for result in report.seed_results:
+        seed_dir = Path(f"seed-{result.seed}")
+        files[seed_dir / "quantiles.csv"] = partial(
+            write_rows, header=["functional", "u", "value", "source"],
+            rows=_quantile_rows(result))
+        files[seed_dir / "intervals.csv"] = partial(
+            write_rows, header=["functional", "alpha", "lower", "upper"],
+            rows=[[e["functional"], e["alpha"], e["lower"], e["upper"]]
+                  for e in result.intervals])
+        if result.combined_draws is not None:
+            files[seed_dir / "draws.csv"] = partial(write_draws, result.combined_draws)
+    return files
 
 
 def emit_report(report: ExperimentReport, out_dir, overwrite: bool = False) -> list:
@@ -280,13 +301,8 @@ def emit_report(report: ExperimentReport, out_dir, overwrite: bool = False) -> l
     report behind.
     """
     out = Path(out_dir)
-    targets = [out / "config.yaml", out / "metrics.json", out / "timings.json"]
-    for result in report.seed_results:
-        seed_dir = out / f"seed-{result.seed}"
-        targets.append(seed_dir / "quantiles.csv")
-        targets.append(seed_dir / "intervals.csv")
-        if result.combined_draws is not None:
-            targets.append(seed_dir / "draws.csv")
+    files = _report_files(report)
+    targets = [out / rel for rel in files]
     if not overwrite:
         existing = [str(p) for p in targets if p.exists()]
         if existing:
@@ -297,37 +313,14 @@ def emit_report(report: ExperimentReport, out_dir, overwrite: bool = False) -> l
         with tempfile.TemporaryDirectory(prefix=".staging-", dir=out,
                                          ignore_cleanup_errors=True) as staging:
             stage = Path(staging)
-            (stage / "config.yaml").write_text(
-                yaml.safe_dump({"config": report.config, "versions": report.versions},
-                               sort_keys=True),
-                encoding="utf-8",
-            )
-            cells = [cell for result in report.seed_results for cell in result.cells]
-            (stage / "metrics.json").write_text(
-                json.dumps({"cells": cells}, indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
-            (stage / "timings.json").write_text(
-                json.dumps(report.timings, indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
-            for result in report.seed_results:
-                seed_dir = stage / f"seed-{result.seed}"
-                seed_dir.mkdir()
-                write_rows(seed_dir / "quantiles.csv",
-                           ["functional", "u", "value", "source"], _quantile_rows(result))
-                write_rows(
-                    seed_dir / "intervals.csv",
-                    ["functional", "alpha", "lower", "upper"],
-                    [[e["functional"], e["alpha"], e["lower"], e["upper"]]
-                     for e in result.intervals],
-                )
-                if result.combined_draws is not None:
-                    write_draws(result.combined_draws, seed_dir / "draws.csv")
+            for rel, write in files.items():
+                (stage / rel).parent.mkdir(exist_ok=True)
+                write(stage / rel)
+            # every directory first, so a failed mkdir moves no file
             for target in targets:
                 target.parent.mkdir(exist_ok=True)
-            for target in targets:
-                os.replace(stage / target.relative_to(out), target)
-    except OSError as exc:
+            for rel, target in zip(files, targets):
+                os.replace(stage / rel, target)
+    except (OSError, DataError) as exc:
         raise DataError(f"failed writing report under {out}: {exc}") from None
     return targets

@@ -197,3 +197,51 @@ def test_metrics_on_samples(tmp_path):
     payload = json.loads(result.output)
     assert payload["accuracy"] > 0.9
     assert "bias" in payload and "variance" in payload
+
+
+def test_file_faults_exit_code(tmp_path):
+    draws = tmp_path / "ok.csv"
+    write_draws(np.arange(1.0, 51.0)[:, None], draws)
+    empty_table, falling_table = tmp_path / "empty.csv", tmp_path / "falling.csv"
+    empty_table.write_text("u,value\n", encoding="utf-8")
+    falling_table.write_text("u,value\n0.25,2.0\n0.75,1.0\n", encoding="utf-8")
+    missing = tmp_path / "missing"
+    cases = [
+        (["simulate", "--family", "poisson", "--n", "5", "--theta0", "1",
+          "--out", str(missing / "x.csv")], missing / "x.csv"),
+        (["combine", str(draws), "--out", str(missing / "x.csv")], missing / "x.csv"),
+        (["metrics", "--samples-a", str(draws), "--samples-b", str(draws),
+          "--out", str(missing / "m.json")], missing / "m.json"),
+        (["metrics", "--table-a", str(empty_table), "--table-b", str(empty_table)],
+         empty_table),
+        (["metrics", "--table-a", str(falling_table), "--table-b", str(falling_table)],
+         falling_table),
+    ]
+    for args, named in cases:
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 3, (args, result.output, result.exception)
+        assert isinstance(result.exception, SystemExit), args
+        assert str(named) in result.output, (args, result.output)
+        assert "Traceback" not in result.output
+
+
+def test_report_malformed_run_dir_exit_code(tmp_path):
+    cases = []
+    for i, text in enumerate(['{"cells": [', '{"cells": [1]}', '{"cells": {}}', '[]',
+                              '{"cells": [{"seed": 0, "functional": "f0", "w2": "x"}]}',
+                              '{"cells": [{"seed": 0, "functional": "f0", "w2": NaN}]}']):
+        run_dir = tmp_path / f"metrics-{i}"
+        run_dir.mkdir()
+        (run_dir / "metrics.json").write_text(text, encoding="utf-8")
+        cases.append((run_dir, str(run_dir / "metrics.json")))
+    bad_interval = tmp_path / "bad-interval"
+    (bad_interval / "seed-0").mkdir(parents=True)
+    (bad_interval / "seed-0" / "intervals.csv").write_text(
+        "functional,alpha,lower,upper\nf0,abc,1,2\n", encoding="utf-8")
+    cases.append((bad_interval, f"{bad_interval / 'seed-0' / 'intervals.csv'}: "
+                                "line 2: non-numeric value 'abc'"))
+    for run_dir, named in cases:
+        result = CliRunner().invoke(main, ["report", str(run_dir)])
+        assert result.exit_code == 3, (run_dir, result.output, result.exception)
+        assert isinstance(result.exception, SystemExit)
+        assert named in result.output, result.output

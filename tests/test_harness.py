@@ -180,13 +180,14 @@ class TestRunExperiment:
         from pie.data import simulate_univariate
         bad = simulate_univariate("poisson", 0.2, 100, seed=0)  # contains zeros
         from pie import runner as runner_mod
-        plan = partition(100, 2, 0)
+        plan = partition(100, 3, 0)
         for sampler in ("exact", "metropolis"):
             cfg = poisson_config(
                 model=ModelSpec("exponential-gamma", {"a": 1.0, "b": 1.0}),
-                true_theta=2.0, n=100, K=2, sampler=sampler,
+                true_theta=2.0, n=100, K=3, sampler=sampler,
             )
-            with pytest.raises(DataError, match="shard 0"):
+            # every shard fails; they are listed in shard order
+            with pytest.raises(DataError, match="shard 0: .*; shard 1: .*; shard 2: "):
                 runner_mod._sample_all_shards(cfg, bad, plan, 0, workers=2)
 
     def test_metropolis_pipeline_close_to_exact(self):
@@ -241,6 +242,23 @@ class TestEmitReport:
             emit_report(report, cfg.output_dir)
         assert sorted(p.name for p in out.iterdir()) == ["seed-0"]
         assert (out / "seed-0").read_text(encoding="utf-8") == "not a directory"
+
+    def test_returned_paths_in_report_order(self, tmp_path):
+        cfg = poisson_config(mode="multidim", n=300, K=2, seeds=[4, 1],
+                             output_dir=str(tmp_path / "run"))
+        paths = emit_report(run_experiment(cfg), cfg.output_dir)
+        expected = ["config.yaml", "metrics.json", "timings.json"]
+        for seed in (4, 1):
+            expected += [f"seed-{seed}/{name}"
+                         for name in ("quantiles.csv", "intervals.csv", "draws.csv")]
+        assert [p.relative_to(tmp_path / "run").as_posix() for p in paths] == expected
+
+    def test_quantile_sources_in_shard_order(self, tmp_path):
+        cfg = poisson_config(n=1200, K=12, grid_size=9, output_dir=str(tmp_path / "run"))
+        emit_report(run_experiment(cfg), cfg.output_dir)
+        rows = (tmp_path / "run" / "seed-0" / "quantiles.csv").read_text().splitlines()
+        sources = list(dict.fromkeys(row.rsplit(",", 1)[1] for row in rows[1:]))
+        assert sources == [f"shard{j}" for j in range(12)] + ["combined"]
 
     def test_multidim_emits_draws(self, tmp_path):
         cfg = poisson_config(mode="multidim", n=300, K=2,
