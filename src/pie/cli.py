@@ -19,6 +19,7 @@ from .combine import default_grid, pie_interval, quantile_table, average_quantil
 from .config import MODES, SAMPLERS, load_config
 from .data import (
     _read_table,
+    format_json,
     read_draws,
     read_json,
     read_quantile_table,
@@ -166,7 +167,7 @@ def metrics(table_a, table_b, samples_a, samples_b, u1, u2, xi0, out):
         write_json(out, result)
         click.echo(f"wrote {out}")
     else:
-        click.echo(json.dumps(result, indent=2, sort_keys=True))
+        click.echo(format_json(result), nl=False)
 
 
 @main.command()
@@ -176,12 +177,13 @@ def report(run_dir):
     """Summarize an emitted run directory."""
     run_dir = Path(run_dir)
     metrics_path = run_dir / "metrics.json"
+    lines = []
     if metrics_path.exists():
         doc = read_json(metrics_path)
         cells = doc.get("cells") if isinstance(doc, dict) else None
         if not isinstance(cells, list):
             raise DataError(f"{metrics_path}: expected a 'cells' list")
-        click.echo(f"{len(cells)} metric cells")
+        lines.append(f"{len(cells)} metric cells")
         for cell in cells:
             try:
                 parts = [f"seed={cell['seed']}", f"functional={cell['functional']}"]
@@ -191,16 +193,18 @@ def report(run_dir):
                         parts.append(f"{key}={value:.6g}")
             except (TypeError, KeyError, ValueError):
                 raise DataError(f"{metrics_path}: malformed cell {cell!r}") from None
-            click.echo("  " + " ".join(parts))
+            lines.append("  " + " ".join(parts))
     for intervals in sorted(run_dir.glob("seed-*/intervals.csv")):
         _, _, (names,), values = _read_table(
             intervals, ["functional", "alpha", "lower", "upper"], text_columns=1)
-        click.echo(f"{intervals.parent.name}:")
+        lines.append(f"{intervals.parent.name}:")
         for name, (alpha, lower, upper) in zip(names, values):
-            click.echo(
+            lines.append(
                 f"  {name}: {100 * (1 - alpha):g}% interval "
                 f"[{lower:.6g}, {upper:.6g}]"
             )
+    for line in lines:
+        click.echo(line)
 
 
 if __name__ == "__main__":

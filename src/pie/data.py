@@ -134,11 +134,15 @@ def write_rows(path, header: list, rows):
         raise DataError(f"cannot write {path}: {exc}") from None
 
 
+def format_json(obj) -> str:
+    """``obj`` as indented JSON with sorted keys, ending in a newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def write_json(path, obj):
-    """Write ``obj`` as indented JSON with sorted keys."""
+    """Write ``obj`` in the ``format_json`` format."""
     try:
-        Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
-                              encoding="utf-8")
+        Path(path).write_text(format_json(obj), encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from None
 

@@ -55,13 +55,12 @@ from .samplers import (
 class SeedResult:
     """All artifacts produced by one replicate (one master seed).
 
-    ``tables`` maps each functional name, in ``functional_names`` order, to
-    its quantile tables by source: ``shard0`` .. ``shard<K-1>`` ascending,
-    then ``combined``.  ``emit_report`` writes them in this order.
+    ``tables`` maps each functional name, ``f0`` .. ``f<m-1>`` in config
+    order, to its quantile tables by source: ``shard0`` .. ``shard<K-1>``
+    ascending, then ``combined``.  ``emit_report`` writes them in this order.
     """
 
     seed: int
-    functional_names: list
     tables: dict
     intervals: list
     combined_draws: Optional[np.ndarray]
@@ -172,7 +171,6 @@ def _run_seed(cfg: ExperimentConfig, master_seed: int, workers: int,
     timings["sample"] = timings.get("sample", 0.0) + time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    names = [f"f{i}" for i in range(len(cfg.functionals))]
     combined_dm = None
     if cfg.mode == "consensus":
         combined_dm = consensus_combine(shard_draws)
@@ -181,7 +179,8 @@ def _run_seed(cfg: ExperimentConfig, master_seed: int, workers: int,
 
     tables: dict = {}
     intervals: list = []
-    for name, functional in zip(names, cfg.functionals):
+    for i, functional in enumerate(cfg.functionals):
+        name = f"f{i}"
         shard_xi = [apply_functional(functional, dm) for dm in shard_draws]
         per_source = {
             f"shard{j}": quantile_table(xi, grid) for j, xi in enumerate(shard_xi)
@@ -203,7 +202,7 @@ def _run_seed(cfg: ExperimentConfig, master_seed: int, workers: int,
     oracle = _exact_draws(cfg, obs, 1.0, cfg.chain.retained,
                           rng.oracle_seed(master_seed))
     cells = []
-    for idx, (name, functional) in enumerate(zip(names, cfg.functionals)):
+    for idx, (name, functional) in enumerate(zip(tables, cfg.functionals)):
         combined_table = tables[name]["combined"]
         oracle_xi = apply_functional(functional, oracle)
         oracle_table = quantile_table(oracle_xi, grid)
@@ -227,7 +226,6 @@ def _run_seed(cfg: ExperimentConfig, master_seed: int, workers: int,
 
     return SeedResult(
         seed=master_seed,
-        functional_names=names,
         tables=tables,
         intervals=intervals,
         combined_draws=None if combined_dm is None else combined_dm.values,

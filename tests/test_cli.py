@@ -184,6 +184,18 @@ def test_numeric_error_exit_code(tmp_path):
     assert result.exit_code == 4  # degenerate sample: zero spread
 
 
+def test_constant_combined_sample_exit_code(tmp_path):
+    # a one-point grid makes every combined draw the same value, and np.std
+    # of those draws is a rounding residue rather than 0
+    cfg = write_config(tmp_path / "cfg.yaml", n=1000, chain={"T_total": 10000})
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["run", "--config", str(cfg), "--set",
+                                       "grid_size=1", "--out", str(out)])
+    assert result.exit_code == 4, (result.output, result.exception)
+    assert "degenerate sample: zero spread" in result.output
+    assert not out.exists()
+
+
 def test_metrics_on_samples(tmp_path):
     g = np.random.default_rng(1)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -236,6 +248,9 @@ def test_report_malformed_run_dir_exit_code(tmp_path):
         cases.append((run_dir, str(run_dir / "metrics.json")))
     bad_interval = tmp_path / "bad-interval"
     (bad_interval / "seed-0").mkdir(parents=True)
+    # a well-formed metrics.json, so the fault comes after printable lines
+    (bad_interval / "metrics.json").write_text(
+        '{"cells": [{"seed": 0, "functional": "f0", "w2": 0.5}]}', encoding="utf-8")
     (bad_interval / "seed-0" / "intervals.csv").write_text(
         "functional,alpha,lower,upper\nf0,abc,1,2\n", encoding="utf-8")
     cases.append((bad_interval, f"{bad_interval / 'seed-0' / 'intervals.csv'}: "
@@ -245,3 +260,4 @@ def test_report_malformed_run_dir_exit_code(tmp_path):
         assert result.exit_code == 3, (run_dir, result.output, result.exception)
         assert isinstance(result.exception, SystemExit)
         assert named in result.output, result.output
+        assert result.stdout == "", (run_dir, result.stdout)

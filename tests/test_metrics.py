@@ -17,7 +17,10 @@ from pie import (
     table_moments,
     w2_from_tables,
 )
-from oracles import normal_quantile
+import pie.metrics
+from oracles import direct_kernel_sum, normal_quantile
+
+trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
 def normal_table(mu, sigma, grid):
@@ -75,7 +78,6 @@ class TestKde:
         assert est.at(0.0) == pytest.approx(0.3989, abs=0.03)
 
     def test_unit_mass(self):
-        trapezoid = getattr(np, "trapezoid", None) or np.trapz
         for size in (2, 5, 1000):
             x = np.random.default_rng(size).standard_normal(size)
             est = kde_1d(x)
@@ -122,6 +124,42 @@ class TestAccuracy:
         a = g.standard_normal(3000)
         b = g.normal(0.3, 1.2, 3000)
         assert accuracy(a, b) == accuracy(b, a)
+
+
+class TestBinnedKernel:
+    """The binned kernel sum against the direct sum over every sample."""
+
+    @pytest.mark.parametrize("T", [2, 50, 1000, 10000])
+    def test_density_matches_direct_sum(self, T):
+        x = np.random.default_rng(T).standard_normal(T)
+        est = kde_1d(x)
+        ref = direct_kernel_sum(x, est.bandwidth, est.grid_x)
+        ref /= float(trapezoid(ref, est.grid_x))
+        assert np.max(np.abs(est.density - ref)) <= 2e-3 * np.max(ref)
+
+    @pytest.mark.parametrize("T", [1000, 10000])
+    @pytest.mark.parametrize("draw", [
+        lambda g, T: g.standard_normal(T),
+        lambda g, T: g.standard_t(5, T),
+    ], ids=["normal", "student-t5"])
+    def test_accuracy_matches_direct_sum(self, monkeypatch, draw, T):
+        g = np.random.default_rng(T)
+        a = draw(g, T)
+        b = 1.1 * draw(g, T) + 0.1
+        binned = accuracy(a, b)
+        monkeypatch.setattr(pie.metrics, "_kernel_sum", direct_kernel_sum)
+        assert abs(binned - accuracy(a, b)) <= 1e-4
+
+    def test_bandwidth_below_grid_spacing(self):
+        g = np.random.default_rng(10)
+        x = g.standard_normal(1000)
+        est = kde_1d(x, bandwidth=1e-6)
+        assert est.bandwidth < est.grid_x[1] - est.grid_x[0]
+        assert np.all(np.isfinite(est.density))
+        assert abs(float(trapezoid(est.density, est.grid_x)) - 1.0) < 1e-3
+        # one side's Silverman bandwidth far below the shared grid's spacing
+        value = accuracy(g.normal(0.0, 1e-6, 1000), x)
+        assert 0.0 <= value <= 0.05
 
 
 class TestBiasVariance:
