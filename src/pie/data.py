@@ -2,6 +2,8 @@
 
 CSV contract: header row, column ``y`` for responses, optional columns
 ``x1..xp`` for the design, UTF-8, '.' decimal separator, '\\n' line endings.
+Every file pie writes holds each number as ``repr`` of the Python float,
+the shortest text that reads back as the same float.
 """
 
 from __future__ import annotations
@@ -9,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -113,25 +114,35 @@ def _is_float(cell: str) -> bool:
         return False
 
 
-def write_rows(path, header: list, rows):
-    """Write a header and rows as CSV.
+def format_numbers(column) -> list:
+    """Each number of ``column`` as ``repr`` of the Python float."""
+    return list(map(repr, np.asarray(column, dtype=float).tolist()))
 
-    Each column holds either text, written as is, or numbers, written as
-    ``repr(float(v))`` so that they read back exactly.
+
+def write_rows(path, header: list, blocks):
+    """Write a header and blocks of rows as CSV.
+
+    Each block is a list of equal-length columns.  A numpy array holds
+    numbers, formatted by ``format_numbers`` so that they read back exactly;
+    any other column holds text cells, written as is, which therefore must
+    not contain a comma, a quote or a line break.  Each block is written
+    with one call, so only one block of text is held at a time.
     """
-    rows = iter(rows)
     try:
         with Path(path).open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            # format blocks of rows column by column: a per-cell type check in
-            # Python costs about as much as the write itself
-            while block := list(islice(rows, 4096)):
-                columns = [col if isinstance(col[0], str) else map(repr, map(float, col))
-                           for col in zip(*block)]
-                writer.writerows(zip(*columns))
+            fh.write(",".join(header) + "\n")
+            for block in blocks:
+                cells = [format_numbers(col) if isinstance(col, np.ndarray) else col
+                         for col in block]
+                fh.write("\n".join([*map(",".join, zip(*cells, strict=True)), ""]))
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from None
+
+
+def _row_blocks(columns: list, rows: int):
+    """Blocks of at most 4096 rows cut from equal-length number columns."""
+    return ([col[start:start + 4096] for col in columns]
+            for start in range(0, rows, 4096))
 
 
 def format_json(obj) -> str:
@@ -181,11 +192,11 @@ def write_observations(obs: ObservationSet, path):
     """Write an observation set back out under the CSV contract."""
     header = ["y"] + [f"x{i}" for i in range(1, obs.p + 1)]
     columns = [obs.responses] if obs.design is None else [obs.responses, *obs.design.T]
-    write_rows(path, header, zip(*columns))
+    write_rows(path, header, _row_blocks(columns, obs.n))
 
 
 def write_quantile_table(table: QuantileTable, path):
-    write_rows(path, ["u", "value"], zip(table.grid, table.values))
+    write_rows(path, ["u", "value"], _row_blocks([table.grid, table.values], table.size))
 
 
 def read_quantile_table(path) -> QuantileTable:
@@ -198,7 +209,8 @@ def read_quantile_table(path) -> QuantileTable:
 
 def write_draws(values: np.ndarray, path):
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    write_rows(path, [f"theta{i}" for i in range(1, values.shape[1] + 1)], values)
+    write_rows(path, [f"theta{i}" for i in range(1, values.shape[1] + 1)],
+               _row_blocks(list(values.T), len(values)))
 
 
 def read_draws(path) -> np.ndarray:

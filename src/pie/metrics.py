@@ -139,6 +139,9 @@ def kde_1d(samples, bandwidth="silverman") -> DensityEstimate:
     if not h > 0:
         raise ConfigError("bandwidth must be positive")
     grid = np.linspace(x.min() - 3.0 * h, x.max() + 3.0 * h, 512)
+    # a spread of a few ulps rounds the 3h margins away and repeats grid points
+    if np.any(np.diff(grid) <= 0):
+        raise NumericError("sample spread too small to resolve on a density grid")
     density = _kernel_sum(x, h, grid)
     density = density / float(_trapezoid(density, grid))
     return DensityEstimate(grid_x=grid, density=density, bandwidth=h)

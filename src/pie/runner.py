@@ -16,7 +16,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import repeat
 from pathlib import Path
 from typing import Optional
 
@@ -34,8 +33,8 @@ from .combine import (
     sample_from_table,
 )
 from .config import ExperimentConfig
-from .data import (load_csv, simulate_linear, simulate_univariate, write_draws,
-                   write_json, write_rows)
+from .data import (format_numbers, load_csv, simulate_linear, simulate_univariate,
+                   write_draws, write_json, write_rows)
 from .errors import ConfigError, DataError, PieError
 from .families import CONJUGATE
 from .metrics import accuracy, quantile_gap, table_moments, w2_from_tables
@@ -249,11 +248,23 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     )
 
 
-def _quantile_rows(result: SeedResult):
-    """Rows of ``quantiles.csv``, in the order of ``result.tables``."""
+def _quantile_blocks(result: SeedResult):
+    """Blocks of ``quantiles.csv``, one per table in the order of
+    ``result.tables``; a grid's text is formatted once and reused for as
+    long as the tables share that grid."""
+    grid = grid_text = None
     for name, per_source in result.tables.items():
         for source, table in per_source.items():
-            yield from zip(repeat(name), table.grid, table.values, repeat(source))
+            if not np.array_equal(table.grid, grid):
+                grid, grid_text = table.grid, format_numbers(table.grid)
+            yield [[name] * table.size, grid_text, table.values, [source] * table.size]
+
+
+def _interval_columns(intervals: list) -> list:
+    """The columns of ``intervals.csv``: functional, alpha, lower, upper."""
+    return [[e["functional"] for e in intervals],
+            *(np.array([e[key] for e in intervals], dtype=float)
+              for key in ("alpha", "lower", "upper"))]
 
 
 def _report_files(report: ExperimentReport) -> dict:
@@ -275,11 +286,10 @@ def _report_files(report: ExperimentReport) -> dict:
         seed_dir = Path(f"seed-{result.seed}")
         files[seed_dir / "quantiles.csv"] = partial(
             write_rows, header=["functional", "u", "value", "source"],
-            rows=_quantile_rows(result))
+            blocks=_quantile_blocks(result))
         files[seed_dir / "intervals.csv"] = partial(
             write_rows, header=["functional", "alpha", "lower", "upper"],
-            rows=[[e["functional"], e["alpha"], e["lower"], e["upper"]]
-                  for e in result.intervals])
+            blocks=[_interval_columns(result.intervals)])
         if result.combined_draws is not None:
             files[seed_dir / "draws.csv"] = partial(write_draws, result.combined_draws)
     return files

@@ -4,9 +4,12 @@ Quantiles come from bisection on the regularized incomplete gamma/beta
 functions, deliberately avoiding both the sampling code under test and
 scipy's ppf implementations.  Kernel density values come from the direct
 sum over every grid point and every sample, which the binned estimate in
-``pie.metrics`` approximates.
+``pie.metrics`` approximates.  CSV text comes from ``csv.writer``, the
+row-by-row rule the column-wise writer in ``pie.data`` must reproduce.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -62,3 +65,20 @@ def direct_kernel_sum(samples, h, grid):
         z = (block - samples[None, :]) / h
         out[start:start + 64] = norm * np.exp(-0.5 * z * z).sum(axis=1)
     return out
+
+
+# floats whose shortest round-trip text is easy to get wrong: a signed zero,
+# the smallest subnormal and normal, inexact decimals, exponent switches
+SPECIAL_FLOATS = [-1.5e-7, -0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1 / 3,
+                  123456789.0, 1e16, 1e22]
+
+
+def reference_csv(header, rows) -> str:
+    """CSV text by ``csv.writer`` with '\\n' line ends: text cells as they
+    are, every other cell as ``repr(float(v))``."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([cell if isinstance(cell, str) else repr(float(cell)) for cell in row]
+                     for row in rows)
+    return out.getvalue()

@@ -4,6 +4,8 @@ import pytest
 from pie import (
     ConfigError,
     DataError,
+    ObservationSet,
+    QuantileTable,
     default_grid,
     load_csv,
     quantile_table,
@@ -15,6 +17,7 @@ from pie import (
     write_observations,
     write_quantile_table,
 )
+from oracles import SPECIAL_FLOATS as SPECIAL, reference_csv
 
 # every reader of a two-column numeric file, with a header it accepts
 READERS = [(load_csv, "y,x1"), (read_draws, "theta1,theta2"),
@@ -146,3 +149,45 @@ class TestTableAndDrawFiles:
         path.write_text("a,b\n0.5,0\n", encoding="utf-8")
         with pytest.raises(DataError):
             read_quantile_table(path)
+
+
+class TestExactText:
+    """Written bytes equal ``csv.writer`` output with ``repr(float(v))`` cells."""
+
+    def test_observations(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        write_observations(ObservationSet(SPECIAL), path)
+        assert path.read_text(encoding="utf-8") == reference_csv(
+            ["y"], [[v] for v in SPECIAL])
+        design = np.array([SPECIAL[::-1], SPECIAL[3:] + SPECIAL[:3]]).T
+        write_observations(ObservationSet(SPECIAL, design), path)
+        assert path.read_text(encoding="utf-8") == reference_csv(
+            ["y", "x1", "x2"], zip(SPECIAL, *design.T))
+
+    def test_quantile_table(self, tmp_path):
+        grid = [5e-324, 2.2250738585072014e-308, 1.5e-7, 0.1, 1 / 3, 0.5, 0.7,
+                0.9, 0.9999999999999999]
+        table = QuantileTable(grid, SPECIAL)
+        path = tmp_path / "table.csv"
+        write_quantile_table(table, path)
+        assert path.read_text(encoding="utf-8") == reference_csv(
+            ["u", "value"], zip(grid, SPECIAL))
+
+    def test_draws(self, tmp_path):
+        values = np.array(SPECIAL).reshape(3, 3)
+        path = tmp_path / "draws.csv"
+        write_draws(values, path)
+        assert path.read_text(encoding="utf-8") == reference_csv(
+            ["theta1", "theta2", "theta3"], values)
+        write_draws(np.array(SPECIAL), path)
+        assert path.read_text(encoding="utf-8") == reference_csv(
+            [f"theta{i}" for i in range(1, 10)], [SPECIAL])
+
+    def test_many_blocks(self, tmp_path):
+        obs = simulate_linear(10_000, 2, seed=6)
+        path = tmp_path / "obs.csv"
+        write_observations(obs, path)
+        # compared as lines: a failed compare of 10^4-line strings takes minutes
+        expected = reference_csv(["y", "x1", "x2"], zip(obs.responses, *obs.design.T))
+        assert (path.read_text(encoding="utf-8").splitlines(keepends=True)
+                == expected.splitlines(keepends=True))

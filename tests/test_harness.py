@@ -9,8 +9,11 @@ from pie import (
     ConfigError,
     DataError,
     ExperimentConfig,
+    ExperimentReport,
     LinearFunctional,
     ModelSpec,
+    QuantileTable,
+    SeedResult,
     emit_report,
     load_config,
     partition,
@@ -19,7 +22,7 @@ from pie import (
 )
 from pie import rng as pie_rng
 from pie.runner import _sample_shard
-from oracles import gamma_quantile
+from oracles import SPECIAL_FLOATS as SPECIAL, gamma_quantile, reference_csv
 
 
 def poisson_config(**overrides):
@@ -207,7 +210,66 @@ class TestRunExperiment:
         assert gap < 0.1 * sd
 
 
+def reference_seed_files(result) -> dict:
+    """Each CSV of one seed's report as ``reference_csv`` writes it."""
+    files = {
+        "quantiles.csv": reference_csv(
+            ["functional", "u", "value", "source"],
+            [(name, u, v, source) for name, per_source in result.tables.items()
+             for source, table in per_source.items()
+             for u, v in zip(table.grid, table.values)]),
+        "intervals.csv": reference_csv(
+            ["functional", "alpha", "lower", "upper"],
+            [[e["functional"], e["alpha"], e["lower"], e["upper"]]
+             for e in result.intervals]),
+    }
+    if result.combined_draws is not None:
+        files["draws.csv"] = reference_csv(
+            [f"theta{i}" for i in range(1, result.combined_draws.shape[1] + 1)],
+            result.combined_draws)
+    return files
+
+
 class TestEmitReport:
+    def test_exact_csv_text(self, tmp_path):
+        # three grids, the first one again last: cached grid text must follow
+        grids = [np.linspace(0.05, 0.95, 9),
+                 [5e-324, 2.2250738585072014e-308, 1.5e-7, 0.1, 1 / 3, 0.5, 0.7,
+                  0.9, 0.9999999999999999],
+                 np.linspace(0.01, 0.99, 9)]
+        tables = {
+            f"f{i}": {"shard0": QuantileTable(grid, SPECIAL),
+                      "combined": QuantileTable(grid, np.array(SPECIAL) * 3.0)}
+            for i, grid in enumerate(grids + grids[:1])
+        }
+        intervals = [{"functional": "f0", "alpha": alpha, "lower": lower, "upper": upper}
+                     for alpha, lower, upper in [(0.1, -0.0, 5e-324), (1 / 3, 1e16, 1e22),
+                                                 (2.2250738585072014e-308, -1.5e-7, 0.1)]]
+        result = SeedResult(seed=3, tables=tables, intervals=intervals,
+                            combined_draws=np.array(SPECIAL).reshape(3, 3), cells=[])
+        report = ExperimentReport(config={}, versions={}, seed_results=[result],
+                                  timings={})
+        emit_report(report, tmp_path / "run")
+        for name, text in reference_seed_files(result).items():
+            assert (tmp_path / "run" / "seed-3" / name).read_text(encoding="utf-8") == text
+
+    def test_exact_csv_text_of_runs(self, tmp_path):
+        # no alpha levels: intervals.csv is its header alone
+        for mode in ("pie", "multidim"):
+            cfg = poisson_config(mode=mode, n=300, K=2, alpha_levels=[], seeds=[2, 5],
+                                 output_dir=str(tmp_path / mode))
+            report = run_experiment(cfg)
+            emit_report(report, cfg.output_dir)
+            for result in report.seed_results:
+                files = reference_seed_files(result)
+                assert files["intervals.csv"] == "functional,alpha,lower,upper\n"
+                assert len(files) == (3 if mode == "multidim" else 2)
+                for name, text in files.items():
+                    path = tmp_path / mode / f"seed-{result.seed}" / name
+                    # as lines: a failed compare of long strings takes minutes
+                    assert (path.read_text(encoding="utf-8").splitlines(keepends=True)
+                            == text.splitlines(keepends=True))
+
     def test_files_and_row_counts(self, tmp_path):
         cfg = poisson_config(output_dir=str(tmp_path / "run"))
         report = run_experiment(cfg)

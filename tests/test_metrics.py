@@ -103,6 +103,13 @@ class TestKde:
         with pytest.raises(DataError):
             kde_1d([1.0])
 
+    def test_few_ulp_spread_is_numeric(self):
+        # the 3h margins round away, so the grid would repeat points
+        x = np.repeat([1.0, np.nextafter(1.0, 2.0)], 500)
+        with pytest.raises(NumericError, match="spread"):
+            kde_1d(x)
+        assert np.isfinite(accuracy(x, x))
+
 
 class TestAccuracy:
     def test_identical_samples(self):
