@@ -112,7 +112,7 @@ def run(config_path, assignments, mode, n, shards, seed, sampler, grid_size, out
 @main.command()
 @click.argument("draw_files", nargs=-1, required=True,
                 type=click.Path(exists=True, dir_okay=False))
-@click.option("--column", type=int, default=1, show_default=True,
+@click.option("--column", type=click.IntRange(min=1), default=1, show_default=True,
               help="1-based draw column to combine.")
 @click.option("--grid-size", type=int, default=999, show_default=True)
 @click.option("--alpha", type=float, default=None,
@@ -122,7 +122,12 @@ def run(config_path, assignments, mode, n, shards, seed, sampler, grid_size, out
 def combine(draw_files, column, grid_size, alpha, out):
     """Average per-shard quantile tables computed from draw CSV files."""
     grid = default_grid(grid_size)
-    shard_xi = [read_draws(path)[:, column - 1] for path in draw_files]
+    shard_xi = []
+    for path in draw_files:
+        draws = read_draws(path)
+        if draws.shape[1] < column:
+            raise DataError(f"{path}: has {draws.shape[1]} columns, no column {column}")
+        shard_xi.append(draws[:, column - 1])
     tables = [quantile_table(xi, grid) for xi in shard_xi]
     combined = average_quantile_tables(tables)
     write_quantile_table(combined, out)

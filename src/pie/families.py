@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import betaln, gammaln
 
 from .errors import ConfigError, DataError, NumericError, coerce
 
@@ -137,7 +135,7 @@ class _GammaRate(_ScalarFamily):
         u, v = self.stats(y)
         C = self.log_base_measure(y)
         a, b = h["a"], h["b"]
-        norm = a * math.log(b) - gammaln(a)
+        norm = a * math.log(b) - math.lgamma(a)
 
         def log_density(theta):
             t = theta[0]
@@ -160,8 +158,10 @@ class PoissonGamma(_GammaRate):
         return y.sum(), y.size
 
     def log_base_measure(self, y) -> float:
-        # log prod y_i!, which only the Metropolis kernel needs
-        return gammaln(y + 1.0).sum()
+        # log prod y_i!, which only the Metropolis kernel needs; counts
+        # repeat, so lgamma runs once per distinct count
+        values, counts = np.unique(y, return_counts=True)
+        return counts @ [math.lgamma(v + 1.0) for v in values.tolist()]
 
 
 class ExponentialGamma(_GammaRate):
@@ -197,7 +197,7 @@ class BernoulliBeta(_ScalarFamily):
     def log_kernel(self, h, y, Z, temper):
         S, F = self.stats(y)
         a, b = h["a"], h["b"]
-        norm = -betaln(a, b)
+        norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
 
         def log_density(theta):
             t = theta[0]
@@ -299,7 +299,7 @@ class NormalLinearNIG(_Family):
         sigma2 = 1.0 / g.gamma(post.noise_shape, 1.0 / post.noise_rate, size=T)
         z = g.standard_normal((T, post.coef_location.size))
         # L^{-T} z has covariance inv(precision)
-        white = solve_triangular(L, z.T, lower=True, trans="T").T
+        white = np.linalg.solve(L.T, z.T).T
         beta = post.coef_location + np.sqrt(sigma2)[:, None] * white
         return np.column_stack([beta, sigma2])
 
@@ -318,7 +318,7 @@ class NormalLinearNIG(_Family):
         omega_inv = np.linalg.inv(h["omega"])
         _, logdet_omega = np.linalg.slogdet(h["omega"])
         a2, b2 = h["a"] / 2.0, h["b"] / 2.0
-        sigma2_norm = a2 * math.log(b2) - gammaln(a2)
+        sigma2_norm = a2 * math.log(b2) - math.lgamma(a2)
 
         def log_density(theta):
             beta, sigma2 = theta[:-1], theta[-1]

@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-import scipy
 import yaml
 
 from . import __version__, rng
@@ -80,7 +79,6 @@ def _versions() -> dict:
     return {
         "pie": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "python": platform.python_version(),
     }
 

@@ -86,7 +86,9 @@ class ChainConfig:
 
     @property
     def retained(self) -> int:
-        return int(self.T_total * (1.0 - self.burn_fraction) / self.thin)
+        """Draws ``sample_metropolis`` keeps: every ``thin``-th step after the
+        ``int(T_total * burn_fraction)`` burn-in steps."""
+        return (self.T_total - int(self.T_total * self.burn_fraction)) // self.thin
 
 
 def _exact(family, post, T: int, seed: int, shard_id) -> DrawMatrix:
@@ -205,8 +207,5 @@ def sample_metropolis(target: TemperedTarget, init, cfg: ChainConfig,
     if n_burn:
         run_phase(n_burn, adapt=auto)
     states, accepted = run_phase(n_post, adapt=False)
-    kept = states[cfg.thin - 1::cfg.thin]
-    if kept.shape[0] == 0:
-        raise ConfigError("chain retained zero draws")
-    return DrawMatrix(kept, shard_id=shard_id, seed_used=cfg.seed,
-                      accept_rate=accepted / n_post)
+    return DrawMatrix(states[cfg.thin - 1::cfg.thin], shard_id=shard_id,
+                      seed_used=cfg.seed, accept_rate=accepted / n_post)

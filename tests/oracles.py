@@ -6,6 +6,9 @@ scipy's ppf implementations.  Kernel density values come from the direct
 sum over every grid point and every sample, which the binned estimate in
 ``pie.metrics`` approximates.  CSV text comes from ``csv.writer``, the
 row-by-row rule the column-wise writer in ``pie.data`` must reproduce.
+The normal-linear log density, the Poisson base measure and the
+normal-linear draw come from scipy, which the package itself does not
+import: they pin the numpy and ``math`` code that replaced those calls.
 """
 
 import csv
@@ -13,7 +16,9 @@ import io
 import math
 
 import numpy as np
-from scipy.special import betainc, gammainc, ndtri
+from scipy.linalg import solve_triangular
+from scipy.special import betainc, gammainc, gammaln, ndtri
+from scipy.stats import invgamma, multivariate_normal, norm
 
 
 def _bisect(cdf, u, lo, hi, iters=200):
@@ -45,6 +50,31 @@ def beta_quantile(a, b, u):
 
 def normal_quantile(mu, sigma, u):
     return mu + sigma * ndtri(np.asarray(u, dtype=float))
+
+
+def normal_linear_log_density(y, Z, temper, mu_star, omega, a, b, theta):
+    """temper * log N(y; Z beta, sigma2 I) + log N(beta; mu_star, sigma2 omega)
+    + log InvGamma(sigma2; shape a / 2, scale b / 2), theta = (beta, sigma2)."""
+    beta, sigma2 = np.asarray(theta[:-1], dtype=float), float(theta[-1])
+    return (temper * norm.logpdf(y, Z @ beta, math.sqrt(sigma2)).sum()
+            + multivariate_normal.logpdf(beta, mu_star, sigma2 * np.asarray(omega))
+            + invgamma.logpdf(sigma2, a / 2.0, scale=b / 2.0))
+
+
+def log_factorial_sum(y):
+    """log prod y_i! by scipy's log-gamma."""
+    return gammaln(np.asarray(y, dtype=float) + 1.0).sum()
+
+
+def normal_linear_draws(post, T, g):
+    """The normal-linear exact draw from generator ``g``, with the whitening
+    L^{-T} z by scipy's triangular solve (L the Cholesky factor of the
+    coefficient precision)."""
+    L = np.linalg.cholesky(post.coef_precision)
+    sigma2 = 1.0 / g.gamma(post.noise_shape, 1.0 / post.noise_rate, size=T)
+    z = g.standard_normal((T, post.coef_location.size))
+    white = solve_triangular(L, z.T, lower=True, trans="T").T
+    return np.column_stack([post.coef_location + np.sqrt(sigma2)[:, None] * white, sigma2])
 
 
 def gamma_sd(shape, rate):

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import yaml
@@ -161,6 +164,35 @@ def test_combine_and_metrics_commands(tmp_path):
     assert metrics_result.exit_code == 0, metrics_result.output
     payload = json.loads(metrics_result.output)
     assert set(payload) == {"w2", "quantile_gap"}
+
+
+def test_combine_column_range(tmp_path):
+    files = []
+    for j in range(2):
+        path = tmp_path / f"shard{j}.csv"
+        write_draws(np.column_stack([np.arange(50.0) + j, -np.arange(50.0)]), path)
+        files.append(str(path))
+    out = tmp_path / "table.csv"
+    for column, code in (("0", 2), ("-1", 2), ("3", 3)):
+        result = CliRunner().invoke(main, ["combine", *files, "--column", column,
+                                           "--out", str(out)])
+        assert result.exit_code == code, (column, result.output, result.exception)
+        assert isinstance(result.exception, SystemExit), column
+        assert not out.exists()
+    assert f"{files[0]}: has 2 columns, no column 3" in result.output
+    result = CliRunner().invoke(main, ["combine", *files, "--column", "2",
+                                       "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert read_quantile_table(out).values.max() <= 0.0
+
+
+def test_package_imports_without_scipy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import pie, pie.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_non_finite_draws_exit_code(tmp_path):

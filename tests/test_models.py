@@ -16,6 +16,8 @@ from pie import (
     partition,
     tempered_log_density,
 )
+from pie.families import POISSON
+from oracles import log_factorial_sum, normal_linear_log_density
 
 
 class TestPartition:
@@ -142,6 +144,27 @@ class TestTemperedLogDensity:
         target = TemperedTarget(model, obs, 3.0)
         assert np.isfinite(tempered_log_density(target, [0.1, -0.2, 1.3]))
         assert tempered_log_density(target, [0.1, -0.2, -1.0]) == -np.inf
+
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    def test_normal_linear_matches_scipy(self, p):
+        g = np.random.default_rng(p)
+        Z = g.standard_normal((40, p))
+        y = Z @ g.standard_normal(p) + g.standard_normal(40)
+        A = g.standard_normal((p, p))
+        mu_star, omega = g.standard_normal(p), A @ A.T + np.eye(p)
+        model = ModelSpec("normal-linear-nig",
+                          {"a": 6.0, "b": 2.0, "mu_star": mu_star, "omega": omega},
+                          parameter_dim=p + 1)
+        target = TemperedTarget(model, ObservationSet(y, Z), 3.0)
+        for _ in range(5):
+            theta = np.append(g.standard_normal(p), g.uniform(0.3, 3.0))
+            expected = normal_linear_log_density(y, Z, 3.0, mu_star, omega, 6.0, 2.0, theta)
+            assert tempered_log_density(target, theta) == pytest.approx(expected, rel=1e-12)
+
+    def test_poisson_base_measure_matches_scipy(self):
+        y = np.random.default_rng(8).poisson(1000.0, 100_000).astype(float)
+        assert POISSON.log_base_measure(y) == pytest.approx(log_factorial_sum(y),
+                                                           rel=1e-12)
 
 
 class TestApplyFunctional:

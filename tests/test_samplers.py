@@ -22,7 +22,8 @@ from pie import (
     sample_normal_linear_nig,
     sample_poisson_gamma,
 )
-from oracles import gamma_quantile
+from pie import rng
+from oracles import gamma_quantile, normal_linear_draws
 
 # two-sample KS critical value at level 0.001 with equal sample sizes
 KS_T = 20000
@@ -172,6 +173,17 @@ class TestNormalLinear:
         assert np.all(np.diag(p2.coef_covariance()) < np.diag(p1.coef_covariance()))
         assert p2.noise_variance_var() < p1.noise_variance_var()
 
+    @pytest.mark.parametrize("p", [1, 2, 10])
+    def test_draws_match_triangular_solve(self, p):
+        g = np.random.default_rng(p)
+        Z = g.standard_normal((80, p))
+        y = Z @ g.standard_normal(p) + g.standard_normal(80)
+        mu_star, omega = np.zeros(p), 2.0 * np.eye(p)
+        post = normal_linear_nig_params(y, Z, 4.0, mu_star, omega, 6.0, 2.0)
+        dm = sample_normal_linear_nig(y, Z, 4.0, mu_star, omega, 6.0, 2.0, 500, seed=p)
+        expected = normal_linear_draws(post, 500, rng.stream(p))
+        np.testing.assert_array_max_ulp(dm.values, expected, maxulp=2)
+
     def test_errors(self):
         with pytest.raises(ConfigError):
             normal_linear_nig_params([1.0], [[1.0]], 1.0, [0.0], [[1.0]], 4.0, 1.0)
@@ -228,6 +240,24 @@ class TestMetropolis:
     def test_invalid_init(self):
         with pytest.raises(NumericError):
             sample_metropolis(self.gamma_target(), [-1.0], ChainConfig(seed=0))
+
+    def test_retained_counts_kept_draws(self):
+        target = self.gamma_target()
+        for T_total in (20, 21, 99, 100, 101, 1000, 1003):
+            for burn_fraction in (0.0, 0.1, 0.25, 0.3, 0.5, 0.7, 0.9):
+                for thin in (1, 2, 3, 5, 7):
+                    kept = len(range(thin - 1, T_total - int(T_total * burn_fraction),
+                                     thin))
+                    settings = dict(T_total=T_total, burn_fraction=burn_fraction,
+                                    thin=thin, seed=3)
+                    if kept < 2:
+                        with pytest.raises(ConfigError):
+                            ChainConfig(**settings)
+                        continue
+                    cfg = ChainConfig(**settings)
+                    assert sample_metropolis(target, [1.0], cfg).T == cfg.retained == kept
+        # burn-in discards 18 of 20 steps, so 2 draws remain
+        assert ChainConfig(T_total=20, burn_fraction=0.9, thin=1).retained == 2
 
     def test_chain_config_validation(self):
         with pytest.raises(ConfigError):
