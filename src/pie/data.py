@@ -59,7 +59,10 @@ def simulate_linear(n: int, p: int, seed: int) -> ObservationSet:
     beta = np.zeros(p)
     k = math.ceil(p / 10)
     beta[:k] = [1.0 if i % 2 == 0 else -1.0 for i in range(k)]
-    y = design @ beta + g.standard_normal(n)
+    # the signal is a sum of small integers, exact in any order; an elementwise
+    # sum keeps it off BLAS, whose n x p matrix-vector product wakes threads
+    # that spin on after the call returns
+    y = (design * beta).sum(axis=1) + g.standard_normal(n)
     meta = {"source": "simulate", "family": "normal-linear", "beta0": beta.tolist(),
             "sigma2": 1.0, "seed": int(seed)}
     return ObservationSet(y, design, meta=meta)

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericError, coerce
 
 _SINGULAR_PRECISION = "singular precision matrix temper * Z'Z + inv(omega)"
+_STATS_ROWS = 10_000
 
 
 def float_array(value) -> np.ndarray:
@@ -269,7 +270,17 @@ class NormalLinearNIG(_Family):
         return y, Z
 
     def stats(self, y, Z):
-        return Z.T @ Z, Z.T @ y, y @ y, y.size
+        # summed over blocks of _STATS_ROWS rows: OpenBLAS hands a longer dot
+        # product to its thread pool, whose workers spin on after the call
+        # returns and whose size would set the sums' last bits
+        Zb, yb = Z[:_STATS_ROWS], y[:_STATS_ROWS]
+        ZtZ, Zty, yty = Zb.T @ Zb, Zb.T @ yb, yb @ yb
+        for start in range(_STATS_ROWS, y.size, _STATS_ROWS):
+            Zb, yb = Z[start:start + _STATS_ROWS], y[start:start + _STATS_ROWS]
+            ZtZ += Zb.T @ Zb
+            Zty += Zb.T @ yb
+            yty += yb @ yb
+        return ZtZ, Zty, yty, y.size
 
     def update(self, stats, temper, h) -> NormalLinearPosterior:
         ZtZ, Zty, yty, m = stats

@@ -17,6 +17,7 @@ from pie import (
     write_observations,
     write_quantile_table,
 )
+from pie import rng
 from oracles import SPECIAL_FLOATS as SPECIAL, reference_csv
 
 # every reader of a two-column numeric file, with a header it accepts
@@ -42,6 +43,16 @@ class TestSimulateLinear:
         beta = np.asarray(obs.meta["beta0"])
         resid = obs.responses - obs.design @ beta
         assert abs(np.var(resid) - 1.0) < 0.05
+
+    def test_responses_are_signal_plus_noise_bit_for_bit(self):
+        # the signal is summed elementwise, not by BLAS; it must still equal
+        # the matrix product exactly, so reports keep their bytes
+        for n, p in ((1, 1), (1000, 10), (20001, 21)):
+            obs = simulate_linear(n, p, seed=3)
+            g = rng.stream(rng.SIMULATE, 3)
+            g.integers(0, 2, size=(n, p))
+            expected = obs.design @ np.asarray(obs.meta["beta0"]) + g.standard_normal(n)
+            assert obs.responses.tobytes() == expected.tobytes()
 
     def test_deterministic(self):
         a = simulate_linear(50, 3, seed=4)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +21,7 @@ from pie import (
     partition,
     tempered_log_density,
 )
-from pie.families import POISSON
+from pie.families import LINEAR, POISSON
 from oracles import log_factorial_sum, normal_linear_log_density
 
 
@@ -165,6 +170,46 @@ class TestTemperedLogDensity:
         y = np.random.default_rng(8).poisson(1000.0, 100_000).astype(float)
         assert POISSON.log_base_measure(y) == pytest.approx(log_factorial_sum(y),
                                                            rel=1e-12)
+
+
+class TestNormalLinearStats:
+    def _data(self, n, p=10):
+        g = np.random.default_rng(n)
+        return g.standard_normal(n), g.standard_normal((n, p))
+
+    def test_up_to_a_block_is_one_product(self):
+        y, Z = self._data(10_000)
+        ZtZ, Zty, yty, m = LINEAR.stats(y, Z)
+        assert m == 10_000
+        assert ZtZ.tobytes() == (Z.T @ Z).tobytes()
+        assert Zty.tobytes() == (Z.T @ y).tobytes()
+        assert yty == y @ y
+
+    def test_longer_data_sums_row_blocks(self):
+        y, Z = self._data(25_001)
+        ZtZ, Zty, yty, m = LINEAR.stats(y, Z)
+        blocks = [slice(0, 10_000), slice(10_000, 20_000), slice(20_000, None)]
+        assert ZtZ.tobytes() == sum(Z[b].T @ Z[b] for b in blocks).tobytes()
+        assert Zty.tobytes() == sum(Z[b].T @ y[b] for b in blocks).tobytes()
+        assert yty == sum(y[b] @ y[b] for b in blocks)
+        assert m == 25_001
+        np.testing.assert_allclose(ZtZ, Z.T @ Z, rtol=1e-12, atol=1e-9)
+        assert yty == pytest.approx(y @ y, rel=1e-12)
+
+    def test_same_bits_for_any_blas_thread_count(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        code = (f"import sys; sys.path.insert(0, {src!r}); import hashlib, numpy as np; "
+                "from pie.families import LINEAR; g = np.random.default_rng(5); "
+                "y, Z = g.standard_normal(50_000), g.standard_normal((50_000, 10)); "
+                "ZtZ, Zty, yty, _ = LINEAR.stats(y, Z); "
+                "print(hashlib.sha256(ZtZ.tobytes() + Zty.tobytes() + yty.tobytes()).hexdigest())")
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                    text=True, timeout=60, check=True, env=env)
+            digests.add(result.stdout.strip())
+        assert len(digests) == 1
 
 
 class TestApplyFunctional:
