@@ -77,36 +77,64 @@ def _read_table(path, expected_header=None,
     naming the file and, for a bad row, its line: a header other than
     ``expected_header`` (when given), a row whose field count differs from
     the header's, a non-numeric cell, or a non-finite value.
+
+    A well-formed numeric body is parsed in one pass (``_parse_body``); a
+    ``csv.reader`` row loop reads every other body, with the same floats,
+    and names the bad line.
     """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
-    rows = list(csv.reader(text.splitlines()))
-    if not rows:
+    lines = text.splitlines()
+    if not lines:
         raise DataError(f"{path}: empty file")
-    header = [name.strip() for name in rows[0]]
+    reader = csv.reader(lines)
+    header = [name.strip() for name in next(reader)]
     if expected_header is not None and header != expected_header:
         raise DataError(f"{path}: expected header '{','.join(expected_header)}'")
-    values = np.empty((len(rows) - 1, len(header) - text_columns))
-    for lineno, row in enumerate(rows[1:], start=2):
+    # text columns appear only in pie report's few-row intervals.csv: they
+    # stay on the row loop
+    values = None if text_columns else _parse_body(lines[reader.line_num:], len(header))
+    if values is not None:
+        return path, header, [], values
+    rows = list(reader)
+    values = np.empty((len(rows), len(header) - text_columns))
+    for lineno, row in enumerate(rows, start=2):
         if len(row) != len(header):
-            raise DataError(
-                f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
-            )
+            raise DataError(f"{path}: line {lineno}: expected {len(header)} fields, "
+                            f"got {len(row)}")
         try:
             values[lineno - 2] = [float(cell) for cell in row[text_columns:]]
         except ValueError:
             bad = next(c for c in row[text_columns:] if not _is_float(c))
-            raise DataError(
-                f"{path}: line {lineno}: non-numeric value '{bad}'"
-            ) from None
+            raise DataError(f"{path}: line {lineno}: non-numeric value '{bad}'") from None
     bad_rows = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if bad_rows.size:
         raise DataError(f"{path}: line {bad_rows[0] + 2}: non-finite value")
-    labels = [[row[i] for row in rows[1:]] for i in range(text_columns)]
+    labels = [[row[i] for row in rows] for i in range(text_columns)]
     return path, header, labels, values
+
+
+def _parse_body(lines: list, width: int):
+    """The (rows, width) array of a well-formed numeric body in one C-level
+    pass, or None when the row loop must read it and name the bad line.
+
+    The pass fails on a quoted or non-numeric cell, ``1_0``, non-ASCII
+    digits, a whitespace-only line or a ragged row; it skips an empty
+    line, which the row count catches.  Its floats are ``float()``'s, bit
+    for bit.  An empty body or an empty first line never reaches it: it
+    warns when it finds no data.
+    """
+    if not lines or not lines[0]:
+        return None
+    try:
+        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    whole = values.shape == (len(lines), width) and np.isfinite(values).all()
+    return values if whole else None
 
 
 def _is_float(cell: str) -> bool:
@@ -177,16 +205,19 @@ def read_json(path):
 def load_csv(path) -> ObservationSet:
     """Parse an observation CSV; errors name the offending line."""
     path, header, _, values = _read_table(path)
+    twice = [name for i, name in enumerate(header) if name in header[:i]]
+    if twice:
+        raise DataError(f"{path}: column '{twice[0]}' appears twice in the header")
     if "y" not in header:
         raise DataError(f"{path}: missing 'y' column")
+    # with no name twice and 'y' present, the design has len(header) - 1 columns
     x_names = [name for name in header if name != "y"]
-    p = len(x_names)
-    expected = [f"x{i}" for i in range(1, p + 1)]
+    expected = [f"x{i}" for i in range(1, len(header))]
     if sorted(x_names) != sorted(expected):
-        raise DataError(f"{path}: design columns must be x1..x{p}, got {x_names}")
+        raise DataError(f"{path}: design columns must be x1..x{len(expected)}, got {x_names}")
     if not len(values):
         raise DataError(f"{path}: no data rows")
-    design = values[:, [header.index(name) for name in expected]] if p else None
+    design = values[:, [header.index(name) for name in expected]] if expected else None
     return ObservationSet(values[:, header.index("y")], design,
                           meta={"source": str(path)})
 

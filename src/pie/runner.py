@@ -156,18 +156,24 @@ def _true_xi(cfg: ExperimentConfig, obs: ObservationSet, functional) -> Optional
     return None if theta0 is None else float(functional.a @ theta0 + functional.b)
 
 
+def _lap(timings: dict, phase: str, t0: float) -> float:
+    """Add the time since ``t0`` to ``timings[phase]``; return the time now."""
+    timings[phase] = timings.get(phase, 0.0) + (now := time.perf_counter()) - t0
+    return now
+
+
 def _run_seed(cfg: ExperimentConfig, master_seed: int, workers: int,
               timings: dict) -> SeedResult:
     grid = default_grid(cfg.grid_size)
-    obs = _dataset(cfg, master_seed)
     K = 1 if cfg.mode == "full-oracle" else cfg.K
+    t0 = time.perf_counter()
+    obs = _dataset(cfg, master_seed)
+    t0 = _lap(timings, "data", t0)
     plan = partition(obs.n, K, master_seed)
-
-    t0 = time.perf_counter()
+    t0 = _lap(timings, "partition", t0)
     shard_draws = _sample_all_shards(cfg, obs, plan, master_seed, workers)
-    timings["sample"] = timings.get("sample", 0.0) + time.perf_counter() - t0
+    t0 = _lap(timings, "sample", t0)
 
-    t0 = time.perf_counter()
     combined_dm = None
     if cfg.mode == "consensus":
         combined_dm = consensus_combine(shard_draws)
@@ -193,9 +199,8 @@ def _run_seed(cfg: ExperimentConfig, master_seed: int, workers: int,
             intervals.append({"functional": name, "alpha": alpha,
                               "lower": est.lower, "upper": est.upper})
         tables[name] = per_source
-    timings["combine"] = timings.get("combine", 0.0) + time.perf_counter() - t0
+    t0 = _lap(timings, "combine", t0)
 
-    t0 = time.perf_counter()
     oracle = _exact_draws(cfg, obs, 1.0, cfg.chain.retained,
                           rng.oracle_seed(master_seed))
     cells = []
@@ -219,7 +224,7 @@ def _run_seed(cfg: ExperimentConfig, master_seed: int, workers: int,
             "variance": variance,
             "quantile_gap": quantile_gap(combined_table, oracle_table, 0.05, 0.95),
         })
-    timings["metrics"] = timings.get("metrics", 0.0) + time.perf_counter() - t0
+    _lap(timings, "metrics", t0)
 
     return SeedResult(
         seed=master_seed,

@@ -5,7 +5,9 @@ functions, deliberately avoiding both the sampling code under test and
 scipy's ppf implementations.  Kernel density values come from the direct
 sum over every grid point and every sample, which the binned estimate in
 ``pie.metrics`` approximates.  CSV text comes from ``csv.writer``, the
-row-by-row rule the column-wise writer in ``pie.data`` must reproduce.
+row-by-row rule the column-wise writer in ``pie.data`` must reproduce, and
+CSV input is read back by the ``csv.reader`` row loop that the one-pass
+numeric parse in ``pie.data`` must match.
 The normal-linear log density, the Poisson base measure and the
 normal-linear draw come from scipy, which the package itself does not
 import: they pin the numpy and ``math`` code that replaced those calls.
@@ -15,10 +17,14 @@ import csv
 import io
 import math
 
+from pathlib import Path
+
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import betainc, gammainc, gammaln, ndtri
 from scipy.stats import invgamma, multivariate_normal, norm
+
+from pie import DataError
 
 
 def _bisect(cdf, u, lo, hi, iters=200):
@@ -112,3 +118,47 @@ def reference_csv(header, rows) -> str:
     writer.writerows([cell if isinstance(cell, str) else repr(float(cell)) for cell in row]
                      for row in rows)
     return out.getvalue()
+
+
+def reference_read_table(path, expected_header=None,
+                         text_columns: int = 0) -> tuple[Path, list, list, np.ndarray]:
+    """The CSV reader as a ``csv.reader`` row loop with one ``float()`` call
+    per cell: the rule ``pie.data._read_table`` must follow on every input,
+    in the values it returns and in the message of every error."""
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    rows = list(csv.reader(text.splitlines()))
+    if not rows:
+        raise DataError(f"{path}: empty file")
+    header = [name.strip() for name in rows[0]]
+    if expected_header is not None and header != expected_header:
+        raise DataError(f"{path}: expected header '{','.join(expected_header)}'")
+    values = np.empty((len(rows) - 1, len(header) - text_columns))
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise DataError(
+                f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
+            )
+        try:
+            values[lineno - 2] = [float(cell) for cell in row[text_columns:]]
+        except ValueError:
+            bad = next(c for c in row[text_columns:] if not _is_float(c))
+            raise DataError(
+                f"{path}: line {lineno}: non-numeric value '{bad}'"
+            ) from None
+    bad_rows = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad_rows.size:
+        raise DataError(f"{path}: line {bad_rows[0] + 2}: non-finite value")
+    labels = [[row[i] for row in rows[1:]] for i in range(text_columns)]
+    return path, header, labels, values
+
+
+def _is_float(cell: str) -> bool:
+    try:
+        float(cell)
+        return True
+    except ValueError:
+        return False

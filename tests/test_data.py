@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pie import (
     ConfigError,
@@ -18,7 +20,8 @@ from pie import (
     write_quantile_table,
 )
 from pie import rng
-from oracles import SPECIAL_FLOATS as SPECIAL, reference_csv
+from pie.data import _parse_body, _read_table
+from oracles import SPECIAL_FLOATS as SPECIAL, reference_csv, reference_read_table
 
 # every reader of a two-column numeric file, with a header it accepts
 READERS = [(load_csv, "y,x1"), (read_draws, "theta1,theta2"),
@@ -130,6 +133,15 @@ class TestLoadCsv:
         with pytest.raises(DataError):
             load_csv(tmp_path / "nope.csv")
 
+    def test_duplicate_column(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        for header, name in (("y,y", "y"), ("y,x1,y", "y"), ("y,x1,x1", "x1")):
+            row = ",".join(["1"] * header.count(","))
+            path.write_text(f"{header}\n0.5,{row}\n", encoding="utf-8")
+            with pytest.raises(DataError, match=f"column '{name}' appears twice") as exc:
+                load_csv(path)
+            assert str(path) in str(exc.value) and exc.value.exit_code == 3
+
     def test_round_trip(self, tmp_path):
         obs = simulate_linear(20, 3, seed=5)
         path = tmp_path / "round.csv"
@@ -137,6 +149,93 @@ class TestLoadCsv:
         back = load_csv(path)
         assert np.array_equal(back.responses, obs.responses)
         assert np.array_equal(back.design, obs.design)
+
+
+# cells the one-pass parse refuses: the row loop reads some (quotes, underscores,
+# Unicode digits) and rejects the rest with the line's number
+REFUSED_CELLS = ["", " ", '"1"', '"1,2"', '"', "1_0", "1_5", "nan", "inf", "-inf", "1e999",
+                 "-1e999", "Infinity", "abc", "\x0c", "\u0661\u0662", "0x10", "#1", "1 2"]
+# and cells both paths read, to the same float
+EDGE_CELLS = REFUSED_CELLS + [" 1.5 ", "\u20032", "1e5 ", "+1", ".5", "1.", "\t-0.0"]
+LINE_ENDS = ["\n", "\n", "\n", "\r\n", "\r", "\x0c", "\x85", "\u2028"]
+finite_text = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+cell_text = st.one_of(finite_text, finite_text, finite_text, st.sampled_from(SPECIAL).map(repr),
+                      st.sampled_from(EDGE_CELLS))
+
+
+@st.composite
+def csv_texts(draw, header: list):
+    """A CSV text under ``header``: mostly full rows of finite floats, mixed
+    with edge cells, ragged and blank rows and every line end splitlines knows."""
+    full = st.lists(cell_text, min_size=len(header), max_size=len(header))
+    rows = draw(st.lists(st.one_of(full, full, full, st.lists(cell_text, max_size=3)),
+                         max_size=6))
+    lines = [",".join(header), *map(",".join, rows)]
+    ends = draw(st.lists(st.sampled_from(LINE_ENDS), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text[:-len(ends[-1])]
+
+
+def read_outcome(reader, path, *args):
+    """What a reader makes of a file: its header, labels and value bits, or
+    its error's type and message."""
+    try:
+        _, header, labels, values = reader(path, *args)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc).__name__, str(exc)
+    return header, labels, values.shape, values.view(np.uint64).tolist()
+
+
+class TestReaderMatchesRowLoop:
+    """``_read_table`` returns what the ``csv.reader`` row loop returns, bit
+    for bit, and raises the same message for every file it rejects."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("reader") / "table.csv"
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(),
+           header=st.lists(st.sampled_from(["y", "x1", "u", "value", " y ", '"y"', ""]),
+                           min_size=1, max_size=3),
+           text_columns=st.integers(0, 1), expect=st.booleans())
+    def test_random_files(self, path, data, header, text_columns, expect):
+        text_columns = min(text_columns, len(header) - 1)
+        path.write_bytes(data.draw(csv_texts(header)).encode("utf-8"))
+        args = (header if expect else None, text_columns)
+        assert (read_outcome(_read_table, path, *args)
+                == read_outcome(reference_read_table, path, *args))
+
+    @pytest.mark.parametrize("text", [
+        "y\n\n", "y,x1\n", "y\n", "y", "", "\n", "\n\n", "y\n1\n\n", "y\n\n1\n",
+        "y\n1\n \n", "y\n1\n2\n\n\n", 'y\n"1"\n', "y\n1_5\n", "y,x1\r\n1,2\r\n",
+        "y,x1\r1,2\r3,4", "y\n1\x0c2\n", "y\n\x0c\n", "y,x1\n1,2\n3\n", "y,x1\n1,\n",
+        "y\nnan\n", "y\n1e999\n", "y\n\u0661\n", 'y,x1\n"1\n2",3\n', "\ufeffy\n1\n",
+    ])
+    def test_edge_files(self, path, text):
+        path.write_bytes(text.encode("utf-8"))
+        for args in [(None, 0), (None, 1), (["y"], 0), (["y", "x1"], 0), (["y", "x1"], 1)]:
+            assert (read_outcome(_read_table, path, *args)
+                    == read_outcome(reference_read_table, path, *args)), args
+
+    def test_one_pass_takes_well_formed_files(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        write_observations(simulate_linear(50, 3, seed=2), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert _parse_body(lines[1:], 4).shape == (50, 4)
+        for cell in REFUSED_CELLS:
+            assert _parse_body(["1", cell], 1) is None, cell
+
+    def test_round_trip_of_random_bit_patterns(self, tmp_path):
+        bits = np.random.default_rng(8).integers(0, 2 ** 64, size=12_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        values = values[np.isfinite(values)][:10_000].reshape(2_000, 5)
+        path = tmp_path / "obs.csv"
+        write_observations(ObservationSet(values[:, 0], values[:, 1:]), path)
+        back = load_csv(path)
+        assert np.array_equal(back.responses.view(np.uint64), values[:, 0].view(np.uint64))
+        assert np.array_equal(back.design.view(np.uint64), values[:, 1:].view(np.uint64))
 
 
 class TestTableAndDrawFiles:

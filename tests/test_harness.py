@@ -121,6 +121,14 @@ class TestRunExperiment:
         assert set(cell) == {"seed", "functional", "w2", "accuracy", "bias",
                              "variance", "quantile_gap"}
 
+    def test_timings_cover_every_phase(self, tmp_path):
+        data = tmp_path / "obs.csv"
+        data.write_text("y\n" + "".join(f"{i % 5}\n" for i in range(600)), encoding="utf-8")
+        for source in ({"true_theta": 3.0}, {"data_source": "csv", "data_path": str(data)}):
+            timings = run_experiment(poisson_config(seeds=[0, 1], **source)).timings
+            assert set(timings) == {"data", "partition", "sample", "combine", "metrics"}
+            assert all(np.isfinite(t) and t >= 0.0 for t in timings.values())
+
     def test_full_oracle_matches_analytic_posterior(self):
         cfg = poisson_config(mode="full-oracle", n=400,
                              chain=ChainConfig(T_total=100000, thin=1))
