@@ -88,7 +88,9 @@ def simulate(family, n, theta0, p, seed, out):
 @click.option("--out", type=click.Path(file_okay=False), default=None,
               help="Output directory [default: config output_dir, else $PIE_OUT_DIR, "
                    "else out].")
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=int, default=1, show_default=True,
+              help="Accepted for compatibility; has no effect (shards are sampled "
+                   "in order in one process).")
 @click.option("--overwrite/--no-overwrite", default=False, show_default=True)
 @_exits_with_code
 def run(config_path, assignments, mode, n, shards, seed, sampler, grid_size, out,

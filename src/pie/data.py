@@ -76,7 +76,8 @@ def _read_table(path, expected_header=None,
     rest fill a (rows, columns) float array.  Every error is a ``DataError``
     naming the file and, for a bad row, its line: a header other than
     ``expected_header`` (when given), a row whose field count differs from
-    the header's, a non-numeric cell, or a non-finite value.
+    the header's, a non-numeric cell, a non-finite value, or a row that
+    ``csv`` cannot split (say, a quoted cell past its field size limit).
 
     A well-formed numeric body is parsed in one pass (``_parse_body``); a
     ``csv.reader`` row loop reads every other body, with the same floats,
@@ -91,7 +92,8 @@ def _read_table(path, expected_header=None,
     if not lines:
         raise DataError(f"{path}: empty file")
     reader = csv.reader(lines)
-    header = [name.strip() for name in next(reader)]
+    records = _records(reader, path)
+    header = [name.strip() for name in next(records)]
     if expected_header is not None and header != expected_header:
         raise DataError(f"{path}: expected header '{','.join(expected_header)}'")
     # text columns appear only in pie report's few-row intervals.csv: they
@@ -99,7 +101,7 @@ def _read_table(path, expected_header=None,
     values = None if text_columns else _parse_body(lines[reader.line_num:], len(header))
     if values is not None:
         return path, header, [], values
-    rows = list(reader)
+    rows = list(records)
     values = np.empty((len(rows), len(header) - text_columns))
     for lineno, row in enumerate(rows, start=2):
         if len(row) != len(header):
@@ -115,6 +117,15 @@ def _read_table(path, expected_header=None,
         raise DataError(f"{path}: line {bad_rows[0] + 2}: non-finite value")
     labels = [[row[i] for row in rows] for i in range(text_columns)]
     return path, header, labels, values
+
+
+def _records(reader, path):
+    """The rows of ``reader``; a row it cannot split raises ``DataError``
+    naming its line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def _parse_body(lines: list, width: int):

@@ -64,9 +64,6 @@ class NormalLinearPosterior:
         return self.noise_rate / (self.noise_shape - 1.0) \
             * np.linalg.inv(self.coef_precision)
 
-    def noise_variance_mean(self) -> float:
-        return self.noise_rate / (self.noise_shape - 1.0)
-
     def noise_variance_var(self) -> float:
         s, r = self.noise_shape, self.noise_rate
         return r * r / ((s - 1.0) ** 2 * (s - 2.0))

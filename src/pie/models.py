@@ -98,10 +98,6 @@ class PartitionPlan:
         _frozen_array(self, "assignments", a)
         _frozen_array(self, "shard_sizes", s)
 
-    @property
-    def n(self) -> int:
-        return self.assignments.size
-
     def shard_indices(self, j: int) -> np.ndarray:
         return np.flatnonzero(self.assignments == j)
 

@@ -77,8 +77,7 @@ def pooled_center_scale(
     transform = PooledTransform(mean=mean, cov=cov, cov_sqrt=cov_sqrt,
                                 cov_inv_sqrt=cov_inv_sqrt)
     whitened = [
-        DrawMatrix(transform.whiten(dm.values), shard_id=dm.shard_id,
-                   seed_used=dm.seed_used)
+        DrawMatrix(transform.whiten(dm.values), shard_id=dm.shard_id)
         for dm in subset_draws
     ]
     return transform, whitened
@@ -108,7 +107,7 @@ def combine_multidim(subset_draws: Sequence[DrawMatrix], grid=None,
         combined = average_quantile_tables(tables)
         stream = rng.stream(rng.RESAMPLE, seed, c)
         out[:, c] = sample_from_table(combined, T_out, stream)
-    return DrawMatrix(transform.unwhiten(out), seed_used=seed)
+    return DrawMatrix(transform.unwhiten(out))
 
 
 def marginal_tables(draws: DrawMatrix, grid=None) -> list[QuantileTable]:

@@ -1,8 +1,8 @@
 """End-to-end experiment orchestration.
 
-Shards are sampled concurrently in a work pool; every shard's stream is
-keyed by (master seed, shard id), so reports are byte-identical regardless
-of worker count or scheduling.  Combining and metrics run after a barrier.
+Shards are sampled one after another in shard order; every shard's stream
+is keyed by (master seed, shard id), so a report depends only on the
+configuration.  Combining and metrics run once every shard is sampled.
 Any shard failure aborts the whole combine; partial results are never
 emitted.
 """
@@ -13,7 +13,6 @@ import os
 import platform
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -114,11 +113,9 @@ def _exact_draws(cfg: ExperimentConfig, shard: ObservationSet, temper: float,
     if family == "bernoulli-beta":
         return sample_bernoulli_beta(shard.responses, temper, h["a"], h["b"], T,
                                      seed, shard_id=shard_id)
-    if family == "normal-linear-nig":
-        return sample_normal_linear_nig(shard.responses, shard.design, temper,
-                                        h["mu_star"], h["omega"], h["a"], h["b"],
-                                        T, seed, shard_id=shard_id)
-    raise ConfigError(f"no exact sampler for family '{family}'")
+    return sample_normal_linear_nig(shard.responses, shard.design, temper,
+                                    h["mu_star"], h["omega"], h["a"], h["b"],
+                                    T, seed, shard_id=shard_id)
 
 
 def _sample_shard(cfg: ExperimentConfig, obs: ObservationSet, plan, master_seed: int,
@@ -133,22 +130,22 @@ def _sample_shard(cfg: ExperimentConfig, obs: ObservationSet, plan, master_seed:
     return sample_metropolis(target, cfg.model.prior_mean(), chain, shard_id=j)
 
 
-def _sample_all_shards(cfg, obs, plan, master_seed, workers) -> list:
-    def attempt(j):
+def _sample_all_shards(cfg, obs, plan, master_seed) -> list:
+    """Every shard's draws in shard order.  All shards are attempted; if any
+    fail, one error lists every failure, typed as the first one when that is
+    a ``PieError``."""
+    draws, failures = [], []
+    for j in range(plan.K):
         try:
-            return _sample_shard(cfg, obs, plan, master_seed, j), None
+            draws.append(_sample_shard(cfg, obs, plan, master_seed, j))
         except Exception as exc:  # noqa: BLE001 - aggregated below
-            return None, exc
-
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        outcomes = list(pool.map(attempt, range(plan.K)))
-    failures = [(j, exc) for j, (_, exc) in enumerate(outcomes) if exc is not None]
+            failures.append((j, exc))
     if failures:
         detail = "; ".join(f"shard {j}: {exc}" for j, exc in failures)
         first = failures[0][1]
         cls = type(first) if isinstance(first, PieError) else PieError
         raise cls(f"shard sampling failed: {detail}")
-    return [draws for draws, _ in outcomes]
+    return draws
 
 
 def _true_xi(cfg: ExperimentConfig, obs: ObservationSet, functional) -> Optional[float]:
@@ -162,8 +159,7 @@ def _lap(timings: dict, phase: str, t0: float) -> float:
     return now
 
 
-def _run_seed(cfg: ExperimentConfig, master_seed: int, workers: int,
-              timings: dict) -> SeedResult:
+def _run_seed(cfg: ExperimentConfig, master_seed: int, timings: dict) -> SeedResult:
     grid = default_grid(cfg.grid_size)
     K = 1 if cfg.mode == "full-oracle" else cfg.K
     t0 = time.perf_counter()
@@ -171,7 +167,7 @@ def _run_seed(cfg: ExperimentConfig, master_seed: int, workers: int,
     t0 = _lap(timings, "data", t0)
     plan = partition(obs.n, K, master_seed)
     t0 = _lap(timings, "partition", t0)
-    shard_draws = _sample_all_shards(cfg, obs, plan, master_seed, workers)
+    shard_draws = _sample_all_shards(cfg, obs, plan, master_seed)
     t0 = _lap(timings, "sample", t0)
 
     combined_dm = None
@@ -238,11 +234,12 @@ def _run_seed(cfg: ExperimentConfig, master_seed: int, workers: int,
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     """Run the configured experiment and return an in-memory report.
 
-    The report depends only on the configuration content (seeds included),
-    never on ``workers`` or scheduling.
+    The report depends only on the configuration content (seeds included).
+    ``workers`` is accepted for compatibility and has no effect: shards are
+    sampled in one ordered loop.
     """
     timings: dict = {}
-    seed_results = [_run_seed(cfg, seed, workers, timings) for seed in cfg.seeds]
+    seed_results = [_run_seed(cfg, seed, timings) for seed in cfg.seeds]
     return ExperimentReport(
         config=cfg.echo(),
         versions=_versions(),

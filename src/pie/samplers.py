@@ -26,7 +26,6 @@ class DrawMatrix:
 
     values: np.ndarray
     shard_id: Optional[int] = None
-    seed_used: Optional[int] = None
     accept_rate: Optional[float] = None
 
     def __post_init__(self):
@@ -48,9 +47,6 @@ class DrawMatrix:
     @property
     def d(self) -> int:
         return self.values.shape[1]
-
-    def column(self, j: int) -> np.ndarray:
-        return self.values[:, j]
 
 
 @dataclass(frozen=True)
@@ -94,8 +90,7 @@ class ChainConfig:
 def _exact(family, post, T: int, seed: int, shard_id) -> DrawMatrix:
     if T < 1:
         raise ConfigError("number of draws T must be >= 1")
-    return DrawMatrix(family.draw(post, T, rng.stream(seed)), shard_id=shard_id,
-                      seed_used=seed)
+    return DrawMatrix(family.draw(post, T, rng.stream(seed)), shard_id=shard_id)
 
 
 def poisson_gamma_params(shard_y, temper, a, b) -> tuple[float, float]:
@@ -208,4 +203,4 @@ def sample_metropolis(target: TemperedTarget, init, cfg: ChainConfig,
         run_phase(n_burn, adapt=auto)
     states, accepted = run_phase(n_post, adapt=False)
     return DrawMatrix(states[cfg.thin - 1::cfg.thin], shard_id=shard_id,
-                      seed_used=cfg.seed, accept_rate=accepted / n_post)
+                      accept_rate=accepted / n_post)

@@ -4,12 +4,14 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 import yaml
 from click.testing import CliRunner
 
 from pie.cli import main
 from pie.config import load_config
 from pie.data import load_csv, read_quantile_table, write_draws
+from pie.errors import DataError
 
 
 def write_config(path, **extra):
@@ -189,10 +191,25 @@ def test_combine_column_range(tmp_path):
 def test_package_imports_without_scipy():
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = (f"import sys; sys.path.insert(0, {src!r}); import pie, pie.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'concurrent')))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, timeout=60, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_oversized_csv_field_exit_code(tmp_path):
+    # a quoted cell past the csv module's field size limit (131 072 characters)
+    path = tmp_path / "big.csv"
+    path.write_text('y\n"' + "1" * 200_000 + '"\n', encoding="utf-8")
+    with pytest.raises(DataError, match="line 2: field larger than field limit"):
+        load_csv(path)
+    result = CliRunner().invoke(main, ["combine", str(path), "--out",
+                                       str(tmp_path / "x.csv")])
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "line 2: field larger than field limit" in result.output
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_non_finite_draws_exit_code(tmp_path):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 import yaml
+from click.testing import CliRunner
 
 from pie import (
     ChainConfig,
@@ -21,6 +22,8 @@ from pie import (
     sample_poisson_gamma,
 )
 from pie import rng as pie_rng
+from pie.cli import main
+from pie.data import read_json
 from pie.runner import _sample_shard
 from oracles import SPECIAL_FLOATS as SPECIAL, gamma_quantile, reference_csv
 
@@ -199,7 +202,7 @@ class TestRunExperiment:
             )
             # every shard fails; they are listed in shard order
             with pytest.raises(DataError, match="shard 0: .*; shard 1: .*; shard 2: "):
-                runner_mod._sample_all_shards(cfg, bad, plan, 0, workers=2)
+                runner_mod._sample_all_shards(cfg, bad, plan, 0)
 
     def test_metropolis_pipeline_close_to_exact(self):
         from pie import table_moments
@@ -216,6 +219,38 @@ class TestRunExperiment:
         gap = np.max(np.abs(te.values[mid] - tm.values[mid]))
         sd = np.sqrt(table_moments(te)[1])
         assert gap < 0.1 * sd
+
+    def test_normal_linear_runs(self, tmp_path):
+        # the paper's headline model: simulated data through the exact sampler
+        # (pie and multidim modes) and Metropolis, and a CSV written by
+        # `pie simulate` through consensus mode
+        data = tmp_path / "linear.csv"
+        result = CliRunner().invoke(main, ["simulate", "--family", "linear", "--n", "600",
+                                           "--p", "3", "--out", str(data)])
+        assert result.exit_code == 0, result.output
+        base = {"model.family": "normal-linear-nig", "data.p": 3, "n": 600, "K": 3,
+                "seeds": [0], "grid_size": 99, "alpha_levels": [0.1, 0.5]}
+        runs = {
+            "exact-pie": {"mode": "pie"},
+            "exact-multidim": {"mode": "multidim"},
+            "metropolis": {"mode": "pie", "sampler": "metropolis", "chain.T_total": 2000},
+            "csv-consensus": {"mode": "consensus", "data.source": "csv",
+                              "data.path": str(data)},
+        }
+        for name, overrides in runs.items():
+            cfg = load_config(None, {**base, **overrides,
+                                     "output_dir": str(tmp_path / name)})
+            report = run_experiment(cfg)
+            paths = emit_report(report, cfg.output_dir)
+            assert all(path.is_file() for path in paths), name
+            cells = read_json(tmp_path / name / "metrics.json")["cells"]
+            assert [cell["functional"] for cell in cells] == ["f0", "f1", "f2", "f3"]
+            # a CSV carries no true coefficients, so it has no bias
+            assert all((cell["bias"] is None) == (name == "csv-consensus")
+                       for cell in cells), name
+            intervals = report.seed_results[0].intervals
+            assert len(intervals) == 8
+            assert all(e["lower"] <= e["upper"] for e in intervals), name
 
 
 def reference_seed_files(result) -> dict:

@@ -23,6 +23,8 @@ from pie import (
     sample_poisson_gamma,
 )
 from pie import rng
+from pie.config import load_config
+from pie.data import simulate_univariate
 from oracles import gamma_quantile, normal_linear_draws
 
 # two-sample KS critical value at level 0.001 with equal sample sizes
@@ -258,6 +260,22 @@ class TestMetropolis:
                     assert sample_metropolis(target, [1.0], cfg).T == cfg.retained == kept
         # burn-in discards 18 of 20 steps, so 2 draws remain
         assert ChainConfig(T_total=20, burn_fraction=0.9, thin=1).retained == 2
+
+    def test_numeric_proposal_scale(self):
+        scale = ChainConfig(proposal_scale="0.05").proposal_scale
+        assert scale == 0.05 and type(scale) is float
+        cfg = load_config(None, {"model.family": "poisson-gamma", "n": 100,
+                                 "data.true_theta": 3.0, "chain.proposal_scale": "0.05"})
+        assert cfg.chain.proposal_scale == 0.05 and type(cfg.chain.proposal_scale) is float
+        # a fixed scale is used as given, never adapted: from the true rate, a
+        # tiny step is almost always accepted, the adapted one far less often
+        obs = simulate_univariate("poisson", 3.0, 400, seed=0)
+        target = TemperedTarget(ModelSpec("poisson-gamma", {"a": 1.0, "b": 1.0}), obs, 1.0)
+        rates = {scale: sample_metropolis(target, [3.0], ChainConfig(
+                     T_total=2000, thin=1, proposal_scale=scale, seed=3)).accept_rate
+                 for scale in (1e-4, "auto")}
+        assert rates[1e-4] >= 0.99
+        assert rates["auto"] < 0.5
 
     def test_chain_config_validation(self):
         with pytest.raises(ConfigError):
