@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from .errors import ConfigError, coerce
+from .errors import ConfigError, coerce, whole
 from .families import CONJUGATE
 from .models import LinearFunctional, ModelSpec
 from .samplers import ChainConfig
@@ -161,10 +161,10 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
 
     chain_raw = _section(raw, "chain")
     chain = ChainConfig(
-        T_total=coerce(chain_raw.get("T_total", 10000), int, "chain.T_total"),
+        T_total=coerce(chain_raw.get("T_total", 10000), whole, "chain.T_total"),
         burn_fraction=coerce(chain_raw.get("burn_fraction", 0.5), float,
                              "chain.burn_fraction"),
-        thin=coerce(chain_raw.get("thin", 5), int, "chain.thin"),
+        thin=coerce(chain_raw.get("thin", 5), whole, "chain.thin"),
         proposal_scale=chain_raw.get("proposal_scale", "auto"),
     )
 
@@ -186,14 +186,14 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     output_dir = raw.get("output_dir") or os.environ.get(OUTPUT_DIR_ENV) or "out"
     return ExperimentConfig(
         model=model,
-        n=coerce(raw["n"], int, "n"),
-        K=coerce(raw.get("K", 1), int, "K"),
+        n=coerce(raw["n"], whole, "n"),
+        K=coerce(raw.get("K", 1), whole, "K"),
         chain=chain,
         functionals=functionals,
         alpha_levels=coerce(raw.get("alpha_levels", [0.1]),
                             lambda v: [float(a) for a in v], "alpha_levels"),
-        grid_size=coerce(raw.get("grid_size", 999), int, "grid_size"),
-        seeds=coerce(raw.get("seeds", [0]), lambda v: [int(s) for s in v], "seeds"),
+        grid_size=coerce(raw.get("grid_size", 999), whole, "grid_size"),
+        seeds=coerce(raw.get("seeds", [0]), lambda v: [whole(s) for s in v], "seeds"),
         mode=raw.get("mode", "pie"),
         sampler=raw.get("sampler", "exact"),
         data_source=data.get("source", "simulate"),

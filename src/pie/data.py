@@ -25,21 +25,26 @@ def simulate_univariate(family: str, theta0: float, n: int, seed: int) -> Observ
     """Draw n i.i.d. observations from the named family at parameter theta0."""
     if n < 1:
         raise ConfigError("n must be >= 1")
+    if not math.isfinite(theta0):
+        raise ConfigError(f"simulation parameter must be finite, got {theta0!r}")
     g = rng.stream(rng.SIMULATE, seed)
-    if family == "poisson":
-        if theta0 <= 0:
-            raise ConfigError("poisson rate must be positive")
-        y = g.poisson(theta0, n).astype(float)
-    elif family == "exponential":
-        if theta0 <= 0:
-            raise ConfigError("exponential rate must be positive")
-        y = g.exponential(1.0 / theta0, n)
-    elif family == "bernoulli":
-        if not 0.0 <= theta0 <= 1.0:
-            raise ConfigError("bernoulli probability must lie in [0, 1]")
-        y = g.binomial(1, theta0, n).astype(float)
-    else:
-        raise ConfigError(f"unsupported simulation family '{family}'")
+    try:
+        if family == "poisson":
+            if theta0 <= 0:
+                raise ConfigError("poisson rate must be positive")
+            y = g.poisson(theta0, n).astype(float)
+        elif family == "exponential":
+            if theta0 <= 0:
+                raise ConfigError("exponential rate must be positive")
+            y = g.exponential(1.0 / theta0, n)
+        elif family == "bernoulli":
+            if not 0.0 <= theta0 <= 1.0:
+                raise ConfigError("bernoulli probability must lie in [0, 1]")
+            y = g.binomial(1, theta0, n).astype(float)
+        else:
+            raise ConfigError(f"unsupported simulation family '{family}'")
+    except ValueError as exc:  # numpy refuses a poisson rate near 2**63, or such an n
+        raise ConfigError(f"cannot simulate {family} data at {theta0!r}: {exc}") from None
     meta = {"source": "simulate", "family": family, "theta0": float(theta0),
             "seed": int(seed)}
     return ObservationSet(y, meta=meta)

@@ -25,6 +25,14 @@ class NumericError(PieError):
     exit_code = 4
 
 
+def whole(value) -> int:
+    """``int(value)`` for a whole number: a bool, or a float that is not an
+    integer (2.5, inf, nan), raises ValueError instead of being truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"not a whole number: {value!r}")
+    return int(value)
+
+
 def coerce(value, kind, key: str):
     """``kind(value)``, reporting a failed conversion as a ConfigError on ``key``."""
     try:

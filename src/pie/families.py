@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError, coerce
+from .errors import ConfigError, DataError, NumericError, coerce, whole
 
 _SINGULAR_PRECISION = "singular precision matrix temper * Z'Z + inv(omega)"
 _STATS_ROWS = 10_000
@@ -244,7 +244,7 @@ class NormalLinearNIG(_Family):
         """Hyperparameters and parameter dimension from a config's sections."""
         if data.get("p") is None:
             raise ConfigError("normal-linear-nig requires data.p")
-        p = coerce(data["p"], int, "data.p")
+        p = coerce(data["p"], whole, "data.p")
         if p < 1:
             raise ConfigError("data.p must be >= 1")
         omega = raw.get("omega", 100.0)

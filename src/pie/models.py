@@ -10,6 +10,7 @@ we use n / m_j, which reduces to K when n is divisible by K.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -78,28 +79,54 @@ class ObservationSet:
 
 @dataclass(frozen=True, eq=False)
 class PartitionPlan:
-    """Disjoint assignment of n observation indices to K shards."""
+    """A permutation of the n observation indices dealt round-robin to K shards.
+
+    Shard j is the hand ``order[j::K]``, kept in ascending order, so the
+    first ``n mod K`` shards hold ``ceil(n/K)`` indices and the rest
+    ``floor(n/K)``.
+    """
 
     K: int
-    assignments: np.ndarray
-    shard_sizes: np.ndarray
+    order: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.assignments, dtype=np.int64).copy()
-        s = np.asarray(self.shard_sizes, dtype=np.int64).copy()
-        if self.K < 1 or s.size != self.K:
-            raise ConfigError("shard_sizes must have length K >= 1")
-        if a.min(initial=0) < 0 or (a.size and a.max() >= self.K):
-            raise ConfigError("assignments must lie in [0, K)")
-        if not np.array_equal(np.bincount(a, minlength=self.K), s):
-            raise ConfigError("shard_sizes inconsistent with assignments")
-        if s.max() - s.min() > 1:
-            raise ConfigError("shard sizes may differ by at most 1")
-        _frozen_array(self, "assignments", a)
-        _frozen_array(self, "shard_sizes", s)
+        order = np.array(self.order, dtype=np.int64)
+        n = order.size
+        if order.ndim != 1:
+            raise ConfigError("order must be a 1-d permutation of range(n)")
+        if not 1 <= self.K <= n:
+            raise ConfigError(f"a plan needs 1 <= K <= n, got K={self.K}, n={n}")
+        seen = np.zeros(n, dtype=bool)
+        if order.min() >= 0 and order.max() < n:
+            seen[order] = True
+        if not seen.all():
+            raise ConfigError("order must be a permutation of range(n)")
+        # order[i] and order[i + K] are neighbours in the same hand
+        if not np.all(order[self.K:] > order[:-self.K]):
+            raise ConfigError("each shard's indices must be strictly ascending")
+        _frozen_array(self, "order", order)
+
+    @cached_property
+    def shard_sizes(self) -> np.ndarray:
+        n, K = self.order.size, self.K
+        sizes = np.full(K, n // K, dtype=np.int64)
+        sizes[: n % K] += 1
+        sizes.setflags(write=False)
+        return sizes
+
+    @cached_property
+    def assignments(self) -> np.ndarray:
+        """Shard of each observation index."""
+        assignments = np.empty(self.order.size, dtype=np.int64)
+        assignments[self.order] = np.arange(self.order.size) % self.K
+        assignments.setflags(write=False)
+        return assignments
 
     def shard_indices(self, j: int) -> np.ndarray:
-        return np.flatnonzero(self.assignments == j)
+        """Ascending row indices of shard j, a read-only view."""
+        if not 0 <= j < self.K:
+            raise ConfigError(f"shard index {j} outside [0, {self.K})")
+        return self.order[j::self.K]
 
 
 def partition(n: int, K: int, seed: int) -> PartitionPlan:
@@ -107,15 +134,15 @@ def partition(n: int, K: int, seed: int) -> PartitionPlan:
 
     A seeded random permutation is dealt round-robin, so the first
     ``n mod K`` shards receive ``ceil(n/K)`` indices and the rest
-    ``floor(n/K)``.  Pure function of (n, K, seed).
+    ``floor(n/K)``.  Each hand is sorted in place.  Pure function of
+    (n, K, seed).
     """
     if K < 1 or K > n:
         raise ConfigError(f"partition requires 1 <= K <= n, got K={K}, n={n}")
-    perm = rng.stream(rng.PARTITION, seed).permutation(n)
-    assignments = np.empty(n, dtype=np.int64)
-    assignments[perm] = np.arange(n) % K
-    sizes = np.bincount(assignments, minlength=K)
-    return PartitionPlan(K=K, assignments=assignments, shard_sizes=sizes)
+    order = rng.stream(rng.PARTITION, seed).permutation(n)
+    for j in range(K):
+        order[j::K].sort()
+    return PartitionPlan(K=K, order=order)
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,7 +7,10 @@ sum over every grid point and every sample, which the binned estimate in
 ``pie.metrics`` approximates.  CSV text comes from ``csv.writer``, the
 row-by-row rule the column-wise writer in ``pie.data`` must reproduce, and
 CSV input is read back by the ``csv.reader`` row loop that the one-pass
-numeric parse in ``pie.data`` must match.
+numeric parse in ``pie.data`` must match.  Shards come from scattering
+shard labels through the seeded permutation and scanning the labels once
+per shard, the rule the sorted hands of ``pie.models.PartitionPlan`` must
+reproduce.
 The normal-linear log density, the Poisson base measure and the
 normal-linear draw come from scipy, which the package itself does not
 import: they pin the numpy and ``math`` code that replaced those calls.
@@ -24,7 +27,7 @@ from scipy.linalg import solve_triangular
 from scipy.special import betainc, gammainc, gammaln, ndtri
 from scipy.stats import invgamma, multivariate_normal, norm
 
-from pie import DataError
+from pie import DataError, rng
 
 
 def _bisect(cdf, u, lo, hi, iters=200):
@@ -162,3 +165,13 @@ def _is_float(cell: str) -> bool:
         return True
     except ValueError:
         return False
+
+
+def reference_partition(n, K, seed):
+    """(assignments, shard sizes, shard indices) of the round-robin deal by a
+    scatter of shard labels and one ``flatnonzero`` scan per shard."""
+    perm = rng.stream(rng.PARTITION, seed).permutation(n)
+    assignments = np.empty(n, dtype=np.int64)
+    assignments[perm] = np.arange(n) % K
+    sizes = np.bincount(assignments, minlength=K)
+    return assignments, sizes, [np.flatnonzero(assignments == j) for j in range(K)]

@@ -89,6 +89,9 @@ MALFORMED_OVERRIDES = [
     ["chain.thin=abc"], ["chain.T_total=[1]"], ["grid_size=x"],
     [*LINEAR_OVERRIDES, "data.p=x"], ["data.true_theta=x"], ["functionals=[{a: [x]}]"],
     [*LINEAR_OVERRIDES, "model.omega=[[1,0],[0]]"], ["model=[1]"], ["chain=5"],
+    # whole-number keys refuse a fraction or a bool rather than truncate it
+    ["n=200.5"], ["n=true", "K=1"], ["K=1.5"], ["grid_size=49.5"], ["chain.T_total=2000.5"],
+    ["chain.thin=1.5"], ["seeds=[1.5]"], ["seeds=[true]"], [*LINEAR_OVERRIDES, "data.p=2.5"],
 ]
 
 
@@ -101,6 +104,9 @@ def test_config_error_exit_code(tmp_path):
     # malformed values are config errors too, never a raw traceback
     cfg = write_config(tmp_path / "ok.yaml")
     load_config(cfg, dict(item.split("=", 1) for item in LINEAR_OVERRIDES))
+    whole_floats = load_config(cfg, {"n": "1.0e+6", "K": "2.0", "seeds": "[3.0]"})
+    assert (whole_floats.n, whole_floats.K, whole_floats.seeds) == (1000000, 2, [3])
+    assert type(whole_floats.n) is int
     for overrides in MALFORMED_OVERRIDES:
         args = ["run", "--config", str(cfg), "--out", str(tmp_path / "never")]
         for item in overrides:
@@ -108,6 +114,26 @@ def test_config_error_exit_code(tmp_path):
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 2, (overrides, result.output, result.exception)
         assert "error" in result.output
+
+
+def test_simulation_parameter_faults_exit_code(tmp_path):
+    # a rate numpy cannot draw from, or that draws no valid data, is a config error
+    cfg = write_config(tmp_path / "cfg.yaml", n=10, K=2)
+    cases = [("poisson", "poisson-gamma", value) for value in ("inf", "nan", "1e300")]
+    cases += [("exponential", "exponential-gamma", value) for value in ("inf", "nan")]
+    for family, model, value in cases:
+        yaml_value = value if value == "1e300" else "." + value
+        runs = [
+            ["run", "--config", str(cfg), "--out", str(tmp_path / "never"),
+             "--set", f"model.family={model}", "--set", f"data.true_theta={yaml_value}"],
+            ["simulate", "--family", family, "--n", "10", "--theta0", value,
+             "--out", str(tmp_path / "never.csv")],
+        ]
+        for args in runs:
+            result = CliRunner().invoke(main, args)
+            assert result.exit_code == 2, (args, result.output, result.exception)
+            assert "error" in result.output
+    assert not (tmp_path / "never").exists() and not (tmp_path / "never.csv").exists()
 
 
 def test_invalid_yaml_exit_code(tmp_path):

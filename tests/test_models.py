@@ -16,13 +16,14 @@ from pie import (
     LinearFunctional,
     ModelSpec,
     ObservationSet,
+    PartitionPlan,
     TemperedTarget,
     apply_functional,
     partition,
     tempered_log_density,
 )
 from pie.families import LINEAR, POISSON
-from oracles import log_factorial_sum, normal_linear_log_density
+from oracles import log_factorial_sum, normal_linear_log_density, reference_partition
 
 
 class TestPartition:
@@ -58,6 +59,47 @@ class TestPartition:
         assert plan.shard_sizes.max() - plan.shard_sizes.min() <= 1
         again = partition(n, K, seed)
         assert np.array_equal(plan.assignments, again.assignments)
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 2000), seed=st.integers(-(2 ** 63), 2 ** 64 - 1),
+           data=st.data())
+    def test_matches_scatter_and_scan(self, n, seed, data):
+        K = data.draw(st.integers(1, n))
+        plan = partition(n, K, seed)
+        assignments, sizes, shards = reference_partition(n, K, seed)
+        for j in range(K):
+            assert np.array_equal(plan.shard_indices(j), shards[j])
+        assert np.array_equal(plan.shard_sizes, sizes)
+        assert np.array_equal(plan.assignments, assignments)
+
+    def test_plan_checks(self):
+        PartitionPlan(K=2, order=[0, 1, 2, 3])
+        bad = {
+            "repeated index": dict(K=2, order=[0, 1, 0, 3]),
+            "index out of range": dict(K=2, order=[0, 1, 2, 4]),
+            "negative index": dict(K=2, order=[-1, 1, 2, 3]),
+            "descending hand": dict(K=2, order=[2, 1, 0, 3]),
+            "K = 0": dict(K=0, order=[0, 1, 2, 3]),
+            "K > n": dict(K=5, order=[0, 1, 2, 3]),
+            "empty": dict(K=1, order=[]),
+            "2-d": dict(K=1, order=[[0, 1], [2, 3]]),
+        }
+        for case, kwargs in bad.items():
+            with pytest.raises(ConfigError):
+                PartitionPlan(**kwargs)
+                pytest.fail(case)
+
+    def test_plan_is_read_only(self):
+        order = np.array([0, 1, 2, 3])
+        plan = PartitionPlan(K=2, order=order)
+        order[0] = 3
+        assert plan.shard_indices(0).tolist() == [0, 2]
+        for view in (plan.shard_indices(1), plan.order, plan.shard_sizes,
+                     plan.assignments):
+            with pytest.raises(ValueError):
+                view[0] = 0
+        with pytest.raises(ConfigError):
+            plan.shard_indices(2)
 
 
 class TestTemperedLogDensity:
