@@ -31,7 +31,7 @@ from .data import (
 )
 from .errors import DataError, PieError
 from .metrics import accuracy, bias_variance_summary, quantile_gap, w2_from_tables
-from .runner import emit_report, run_experiment
+from .runner import INTERVALS_HEADER, emit_report, run_experiment
 
 
 def _exits_with_code(fn):
@@ -202,8 +202,7 @@ def report(run_dir):
                 raise DataError(f"{metrics_path}: malformed cell {cell!r}") from None
             lines.append("  " + " ".join(parts))
     for intervals in sorted(run_dir.glob("seed-*/intervals.csv")):
-        _, _, (names,), values = _read_table(
-            intervals, ["functional", "alpha", "lower", "upper"], text_columns=1)
+        _, _, (names,), values = _read_table(intervals, INTERVALS_HEADER, text_columns=1)
         lines.append(f"{intervals.parent.name}:")
         for name, (alpha, lower, upper) in zip(names, values):
             lines.append(

@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
+from .families import read_only
 from .samplers import DrawMatrix
 
 
@@ -23,7 +24,10 @@ def default_grid(size: int = 999) -> np.ndarray:
     """Equispaced probability grid k / (size + 1), k = 1..size."""
     if size < 1:
         raise ConfigError("grid size must be >= 1")
-    return np.arange(1, size + 1) / (size + 1.0)
+    try:
+        return np.arange(1, size + 1) / (size + 1.0)
+    except ValueError as exc:  # numpy refuses a size past its limits
+        raise ConfigError(f"grid size {size} is too large: {exc}") from None
 
 
 def _as_grid(grid) -> np.ndarray:
@@ -56,10 +60,8 @@ class QuantileTable:
             raise NumericError("quantile values contain non-finite entries")
         if v.size > 1 and np.any(np.diff(v) < 0):
             raise ConfigError("quantile values must be nondecreasing")
-        g.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "grid", read_only(g))
+        object.__setattr__(self, "values", read_only(v))
 
     @property
     def size(self) -> int:
@@ -79,6 +81,11 @@ class IntervalEstimate:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.lower > self.upper:
             raise ConfigError("interval lower bound exceeds upper bound")
+
+
+def _require_shared_grid(first: QuantileTable, *others: QuantileTable):
+    if any(not np.array_equal(t.grid, first.grid) for t in others):
+        raise ConfigError("quantile tables use different grids")
 
 
 def empirical_quantile(draws_1d, u: float) -> float:
@@ -111,12 +118,9 @@ def average_quantile_tables(tables: Sequence[QuantileTable]) -> QuantileTable:
     """
     if len(tables) == 0:
         raise ConfigError("need at least one quantile table")
-    g0 = tables[0].grid
-    for t in tables[1:]:
-        if not np.array_equal(t.grid, g0):
-            raise ConfigError("quantile tables use different grids")
+    _require_shared_grid(*tables)
     values = np.mean(np.stack([t.values for t in tables]), axis=0)
-    return QuantileTable(grid=g0, values=values)
+    return QuantileTable(grid=tables[0].grid, values=values)
 
 
 def pie_interval(subset_draws: Sequence, alpha: float) -> IntervalEstimate:
@@ -167,10 +171,8 @@ class GaussianApprox:
             raise ConfigError("covariance must be symmetric")
         if np.linalg.eigvalsh((cov + cov.T) / 2.0).min() < -1e-12 * scale:
             raise ConfigError("covariance must be positive semidefinite")
-        mean.setflags(write=False)
-        cov.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "mean", read_only(mean))
+        object.__setattr__(self, "cov", read_only(cov))
 
     @property
     def d(self) -> int:
@@ -240,14 +242,17 @@ def gaussian_barycenter(approxes: Sequence[GaussianApprox], tol: float = 1e-10,
 
 # -- Consensus baseline -----------------------------------------------------
 
-def _inverse_covariance(values: np.ndarray, ridge_scale: float = 1e-8):
+_RIDGE_SCALE = 1e-8
+
+
+def _inverse_covariance(values: np.ndarray):
     """Inverse sample covariance with a trace-scaled ridge fallback."""
     d = values.shape[1]
     cov = np.atleast_2d(np.cov(values, rowvar=False, ddof=1))
     try:
         return np.linalg.inv(cov)
     except np.linalg.LinAlgError:
-        ridge = ridge_scale * np.trace(cov) / d
+        ridge = _RIDGE_SCALE * np.trace(cov) / d
         try:
             return np.linalg.inv(cov + ridge * np.eye(d))
         except np.linalg.LinAlgError:

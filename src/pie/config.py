@@ -112,15 +112,6 @@ def _section(raw: dict, key: str) -> dict:
     return value
 
 
-def _coordinate_functionals(d: int) -> list[LinearFunctional]:
-    out = []
-    for i in range(d):
-        a = np.zeros(d)
-        a[i] = 1.0
-        out.append(LinearFunctional(a=a))
-    return out
-
-
 def _set_dotted(raw: dict, dotted: str, value):
     keys = dotted.split(".")
     node = raw
@@ -178,7 +169,7 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
                 raise ConfigError("each functional needs a weight vector 'a'")
             functionals.append(LinearFunctional(a=f["a"], b=f.get("b", 0.0)))
     else:
-        functionals = _coordinate_functionals(model.parameter_dim)
+        functionals = [LinearFunctional(a=row) for row in np.eye(model.parameter_dim)]
 
     if "n" not in raw:
         raise ConfigError("config requires n")

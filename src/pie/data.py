@@ -60,7 +60,10 @@ def simulate_linear(n: int, p: int, seed: int) -> ObservationSet:
     if n < 1 or p < 1:
         raise ConfigError("n and p must be >= 1")
     g = rng.stream(rng.SIMULATE, seed)
-    design = (g.integers(0, 2, size=(n, p)) * 2 - 1).astype(float)
+    try:
+        design = (g.integers(0, 2, size=(n, p)) * 2 - 1).astype(float)
+    except ValueError as exc:  # numpy refuses an n x p array past its size limits
+        raise ConfigError(f"cannot simulate {n} x {p} design: {exc}") from None
     beta = np.zeros(p)
     k = math.ceil(p / 10)
     beta[:k] = [1.0 if i % 2 == 0 else -1.0 for i in range(k)]

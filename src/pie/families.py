@@ -30,6 +30,12 @@ def float_array(value) -> np.ndarray:
     return np.array(value, dtype=float)
 
 
+def read_only(array: np.ndarray) -> np.ndarray:
+    """``array`` with writing switched off, the form every value type hands out."""
+    array.setflags(write=False)
+    return array
+
+
 def check_temper(temper) -> float:
     if not (math.isfinite(temper) and temper >= 1.0):
         raise ConfigError("temper must be a finite real >= 1")
@@ -236,9 +242,7 @@ class NormalLinearNIG(_Family):
             raise ConfigError(
                 "normal-linear-nig parameter_dim must be p + 1 (coefficients plus noise variance)"
             )
-        mu.setflags(write=False)
-        omega.setflags(write=False)
-        return {"a": a, "b": b, "mu_star": mu, "omega": omega}
+        return {"a": a, "b": b, "mu_star": read_only(mu), "omega": read_only(omega)}
 
     def config(self, raw: dict, data: dict) -> tuple[dict, int]:
         """Hyperparameters and parameter dimension from a config's sections."""

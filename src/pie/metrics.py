@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combine import QuantileTable
+from .combine import QuantileTable, _require_shared_grid
 from .errors import ConfigError, DataError, NumericError
+from .families import read_only
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -22,11 +23,6 @@ def _cell_weights(grid: np.ndarray) -> np.ndarray:
     """Midpoint-rule cell widths covering (0, 1); they sum to one."""
     edges = np.concatenate(([0.0], (grid[1:] + grid[:-1]) / 2.0, [1.0]))
     return np.diff(edges)
-
-
-def _require_shared_grid(A: QuantileTable, B: QuantileTable):
-    if not np.array_equal(A.grid, B.grid):
-        raise ConfigError("quantile tables use different grids")
 
 
 def w2_from_tables(A: QuantileTable, B: QuantileTable) -> float:
@@ -82,10 +78,8 @@ class DensityEstimate:
             raise NumericError("density does not integrate to 1 on its grid")
         if not self.bandwidth > 0:
             raise ConfigError("bandwidth must be positive")
-        x.setflags(write=False)
-        f.setflags(write=False)
-        object.__setattr__(self, "grid_x", x)
-        object.__setattr__(self, "density", f)
+        object.__setattr__(self, "grid_x", read_only(x))
+        object.__setattr__(self, "density", read_only(f))
 
     def at(self, x: float) -> float:
         return float(np.interp(x, self.grid_x, self.density))
@@ -123,6 +117,12 @@ def _kernel_sum(samples: np.ndarray, h: float, grid: np.ndarray) -> np.ndarray:
     return np.convolve(counts, kernel, mode="valid")
 
 
+def _density(samples: np.ndarray, h: float, grid: np.ndarray) -> np.ndarray:
+    """``_kernel_sum`` divided by its trapezoid mass on ``grid``."""
+    density = _kernel_sum(samples, h, grid)
+    return density / float(_trapezoid(density, grid))
+
+
 def kde_1d(samples, bandwidth="silverman") -> DensityEstimate:
     """Gaussian-kernel density on 512 points spanning the sample range
     extended by three bandwidths.
@@ -142,9 +142,7 @@ def kde_1d(samples, bandwidth="silverman") -> DensityEstimate:
     # a spread of a few ulps rounds the 3h margins away and repeats grid points
     if np.any(np.diff(grid) <= 0):
         raise NumericError("sample spread too small to resolve on a density grid")
-    density = _kernel_sum(x, h, grid)
-    density = density / float(_trapezoid(density, grid))
-    return DensityEstimate(grid_x=grid, density=density, bandwidth=h)
+    return DensityEstimate(grid_x=grid, density=_density(x, h, grid), bandwidth=h)
 
 
 def accuracy(q_samples, pi_samples) -> float:
@@ -163,10 +161,7 @@ def accuracy(q_samples, pi_samples) -> float:
     lo = min(q.min() - 3.0 * hq, p.min() - 3.0 * hp)
     hi = max(q.max() + 3.0 * hq, p.max() + 3.0 * hp)
     grid = np.linspace(lo, hi, 1024)
-    fq = _kernel_sum(q, hq, grid)
-    fq /= float(_trapezoid(fq, grid))
-    fp = _kernel_sum(p, hp, grid)
-    fp /= float(_trapezoid(fp, grid))
+    fq, fp = _density(q, hq, grid), _density(p, hp, grid)
     value = 1.0 - 0.5 * float(_trapezoid(np.abs(fq - fp), grid))
     return float(min(max(value, 0.0), 1.0))
 

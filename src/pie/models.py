@@ -17,14 +17,9 @@ import numpy as np
 
 from . import rng
 from .errors import ConfigError, DataError, coerce
-from .families import CONJUGATE, check_temper, float_array
+from .families import CONJUGATE, check_temper, float_array, read_only
 
 FAMILIES = (*CONJUGATE, "custom-logdensity")
-
-
-def _frozen_array(obj, attr, value):
-    value.setflags(write=False)
-    object.__setattr__(obj, attr, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,7 +46,7 @@ class ObservationSet:
             raise DataError("responses must be a nonempty 1-d vector")
         if not np.all(np.isfinite(y)):
             raise DataError("responses contain non-finite entries")
-        _frozen_array(self, "responses", y)
+        object.__setattr__(self, "responses", read_only(y))
         if self.design is not None:
             Z = np.asarray(self.design, dtype=float).copy()
             if Z.ndim != 2 or Z.shape[0] != y.size:
@@ -60,7 +55,7 @@ class ObservationSet:
                 )
             if not np.all(np.isfinite(Z)):
                 raise DataError("design contains non-finite entries")
-            _frozen_array(self, "design", Z)
+            object.__setattr__(self, "design", read_only(Z))
 
     @property
     def n(self) -> int:
@@ -104,23 +99,21 @@ class PartitionPlan:
         # order[i] and order[i + K] are neighbours in the same hand
         if not np.all(order[self.K:] > order[:-self.K]):
             raise ConfigError("each shard's indices must be strictly ascending")
-        _frozen_array(self, "order", order)
+        object.__setattr__(self, "order", read_only(order))
 
     @cached_property
     def shard_sizes(self) -> np.ndarray:
         n, K = self.order.size, self.K
         sizes = np.full(K, n // K, dtype=np.int64)
         sizes[: n % K] += 1
-        sizes.setflags(write=False)
-        return sizes
+        return read_only(sizes)
 
     @cached_property
     def assignments(self) -> np.ndarray:
         """Shard of each observation index."""
         assignments = np.empty(self.order.size, dtype=np.int64)
         assignments[self.order] = np.arange(self.order.size) % self.K
-        assignments.setflags(write=False)
-        return assignments
+        return read_only(assignments)
 
     def shard_indices(self, j: int) -> np.ndarray:
         """Ascending row indices of shard j, a read-only view."""
@@ -156,8 +149,11 @@ class LinearFunctional:
         a = np.atleast_1d(coerce(self.a, float_array, "functional weights"))
         if a.ndim != 1 or not np.all(np.isfinite(a)) or not np.any(a != 0.0):
             raise ConfigError("functional weights must be finite with a nonzero entry")
-        _frozen_array(self, "a", a)
-        object.__setattr__(self, "b", coerce(self.b, float, "functional offset"))
+        object.__setattr__(self, "a", read_only(a))
+        b = coerce(self.b, float, "functional offset")
+        if not np.isfinite(b):
+            raise ConfigError(f"functional offset must be finite, got {b!r}")
+        object.__setattr__(self, "b", b)
 
 
 def apply_functional(f: LinearFunctional, draws) -> np.ndarray:

@@ -48,6 +48,9 @@ from .samplers import (
 )
 
 
+INTERVALS_HEADER = ["functional", "alpha", "lower", "upper"]
+
+
 @dataclass
 class SeedResult:
     """All artifacts produced by one replicate (one master seed).
@@ -261,7 +264,7 @@ def _quantile_blocks(result: SeedResult):
 
 
 def _interval_columns(intervals: list) -> list:
-    """The columns of ``intervals.csv``: functional, alpha, lower, upper."""
+    """The columns of ``intervals.csv``, in ``INTERVALS_HEADER`` order."""
     return [[e["functional"] for e in intervals],
             *(np.array([e[key] for e in intervals], dtype=float)
               for key in ("alpha", "lower", "upper"))]
@@ -288,7 +291,7 @@ def _report_files(report: ExperimentReport) -> dict:
             write_rows, header=["functional", "u", "value", "source"],
             blocks=_quantile_blocks(result))
         files[seed_dir / "intervals.csv"] = partial(
-            write_rows, header=["functional", "alpha", "lower", "upper"],
+            write_rows, header=INTERVALS_HEADER,
             blocks=[_interval_columns(result.intervals)])
         if result.combined_draws is not None:
             files[seed_dir / "draws.csv"] = partial(write_draws, result.combined_draws)

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import rng
 from .errors import ConfigError, NumericError, coerce
-from .families import BERNOULLI, EXPONENTIAL, LINEAR, POISSON, NormalLinearPosterior
+from .families import (BERNOULLI, EXPONENTIAL, LINEAR, POISSON, NormalLinearPosterior,
+                       read_only)
 from .models import TemperedTarget
 
 
@@ -36,9 +37,7 @@ class DrawMatrix:
             raise ConfigError(f"draws must be a T x d matrix, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise NumericError("draw matrix contains non-finite entries")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", read_only(v.copy()))
 
     @property
     def T(self) -> int:

@@ -10,7 +10,8 @@ from click.testing import CliRunner
 
 from pie.cli import main
 from pie.config import load_config
-from pie.data import load_csv, read_quantile_table, write_draws
+from pie.data import (load_csv, read_quantile_table, simulate_linear, write_draws,
+                      write_observations)
 from pie.errors import DataError
 
 
@@ -92,6 +93,9 @@ MALFORMED_OVERRIDES = [
     # whole-number keys refuse a fraction or a bool rather than truncate it
     ["n=200.5"], ["n=true", "K=1"], ["K=1.5"], ["grid_size=49.5"], ["chain.T_total=2000.5"],
     ["chain.thin=1.5"], ["seeds=[1.5]"], ["seeds=[true]"], [*LINEAR_OVERRIDES, "data.p=2.5"],
+    ["functionals=[{a: [1], b: .inf}]"], ["functionals=[{a: [1], b: .nan}]"],
+    # numpy refuses this grid size before allocating anything
+    ["grid_size=100000000000000000000"],
 ]
 
 
@@ -133,6 +137,15 @@ def test_simulation_parameter_faults_exit_code(tmp_path):
             result = CliRunner().invoke(main, args)
             assert result.exit_code == 2, (args, result.output, result.exception)
             assert "error" in result.output
+    # numpy refuses a design this long before allocating anything
+    linear = [arg for item in LINEAR_OVERRIDES for arg in ("--set", item)]
+    for args in (["simulate", "--family", "linear", "--n", "1000000000000000000000",
+                  "--out", str(tmp_path / "never.csv")],
+                 ["run", "--config", str(cfg), "--out", str(tmp_path / "never"),
+                  *linear, "--set", "n=1.0e+21"]):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2, (args, result.output, result.exception)
+        assert "Maximum allowed dimension exceeded" in result.output
     assert not (tmp_path / "never").exists() and not (tmp_path / "never.csv").exists()
 
 
@@ -151,6 +164,22 @@ def test_data_error_exit_code(tmp_path):
         main, ["run", "--config", str(cfg), "--out", str(tmp_path / "r")]
     )
     assert result.exit_code == 3
+
+
+def test_csv_shape_mismatch_exit_code(tmp_path):
+    csv_path = tmp_path / "data.csv"
+    write_observations(simulate_linear(50, 3, seed=0), csv_path)
+    cases = [([], "config says n=200 but"),
+             ([*LINEAR_OVERRIDES, "n=50"], "csv design dimension does not match the model")]
+    cfg = write_config(tmp_path / "cfg.yaml", data={"source": "csv", "path": str(csv_path)})
+    for overrides, message in cases:
+        args = ["run", "--config", str(cfg), "--out", str(tmp_path / "never")]
+        for item in overrides:
+            args += ["--set", item]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 3, (overrides, result.output, result.exception)
+        assert message in result.output
+    assert not (tmp_path / "never").exists()
 
 
 def test_overwrite_refusal_exit_code(tmp_path):
@@ -212,6 +241,17 @@ def test_combine_column_range(tmp_path):
                                        "--out", str(out)])
     assert result.exit_code == 0, result.output
     assert read_quantile_table(out).values.max() <= 0.0
+
+
+def test_combine_oversized_grid_exit_code(tmp_path):
+    path = tmp_path / "shard.csv"
+    write_draws(np.arange(50.0)[:, None], path)
+    out = tmp_path / "table.csv"
+    # numpy refuses this grid size before allocating anything
+    result = CliRunner().invoke(main, ["combine", str(path), "--grid-size",
+                                       "100000000000000000000", "--out", str(out)])
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert "grid size" in result.output and not out.exists()
 
 
 def test_package_imports_without_scipy():

@@ -22,7 +22,10 @@ from pie import (
     partition,
     tempered_log_density,
 )
+from pie.combine import GaussianApprox, QuantileTable
 from pie.families import LINEAR, POISSON
+from pie.metrics import DensityEstimate
+from pie.samplers import DrawMatrix
 from oracles import log_factorial_sum, normal_linear_log_density, reference_partition
 
 
@@ -319,3 +322,38 @@ class TestTypes:
         obs = ObservationSet([1.0, 2.0])
         with pytest.raises(ValueError):
             obs.responses[0] = 9.0
+
+    def test_value_types_hold_read_only_copies(self):
+        # every array a value type holds refuses writes and is not the
+        # caller's array; the plan's cached arrays have no caller's array
+        y, u = np.array([1.0, 2.0, 3.0]), np.array([0.25, 0.5, 0.75])
+        Z, m, order, x = np.ones((3, 2)), np.eye(2), np.arange(4), np.linspace(-6.0, 6.0, 121)
+        f = np.exp(-x * x / 2.0) / np.sqrt(2.0 * np.pi)
+        obs, plan = ObservationSet(y, Z), PartitionPlan(K=2, order=order)
+        table, gauss = QuantileTable(u, y), GaussianApprox(y[:2], m)
+        kde = DensityEstimate(x, f, 1.0)
+        hyper = ModelSpec("normal-linear-nig",
+                          {"a": 6.0, "b": 1.0, "mu_star": y[:2], "omega": m},
+                          parameter_dim=3).hyperparameters
+        held = {
+            "ObservationSet.responses": (obs.responses, y),
+            "ObservationSet.design": (obs.design, Z),
+            "PartitionPlan.order": (plan.order, order),
+            "PartitionPlan.shard_sizes": (plan.shard_sizes, None),
+            "PartitionPlan.assignments": (plan.assignments, None),
+            "LinearFunctional.a": (LinearFunctional(a=y).a, y),
+            "DrawMatrix.values": (DrawMatrix(Z).values, Z),
+            "QuantileTable.grid": (table.grid, u),
+            "QuantileTable.values": (table.values, y),
+            "GaussianApprox.mean": (gauss.mean, y),
+            "GaussianApprox.cov": (gauss.cov, m),
+            "DensityEstimate.grid_x": (kde.grid_x, x),
+            "DensityEstimate.density": (kde.density, f),
+            "hyperparameters mu_star": (hyper["mu_star"], y),
+            "hyperparameters omega": (hyper["omega"], m),
+        }
+        for name, (array, given) in held.items():
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = 0
+                pytest.fail(name)
+            assert given is None or not np.shares_memory(array, given), name

@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
-"""Print the SHA-256 of every report file the benchmark workloads produce.
+"""Print the SHA-256 of every report file a fixed set of `pie run` configurations produce.
 
     python3 tools/report_digest.py --seeds 1 2 --workers 1 2 > digest.txt
 
-Runs each configuration of ``perfbench/workloads.py`` once per master seed
-and worker count, with the three calls `pie run` makes (`load_config`,
-`run_experiment`, `emit_report`), using the package in ``src/`` of this
-checkout.  Everything is written in a temporary directory under fixed
-relative paths, so the config echo in ``config.yaml`` is the same in every
-checkout and compares too.  The output is one ``sha256  relative/path``
-line per report file, ``timings.json`` excepted, plus one for each CSV
-input written for a workload that reads one.  Comparing two checkouts'
+Runs each configuration of ``perfbench/workloads.py``, and the four of
+``EXTRA_CONFIGS`` below that cover what those leave out, once per master
+seed and worker count, with the three calls `pie run` makes
+(`load_config`, `run_experiment`, `emit_report`), using the package in
+``src/`` of this checkout.  Everything is written in a temporary directory
+under fixed relative paths, so the config echo in ``config.yaml`` is the
+same in every checkout and compares too.  The output is one
+``sha256  relative/path`` line per report file, ``timings.json``
+excepted, plus one for each CSV input written for a configuration that
+reads one: 138 lines for the arguments above.  Comparing two checkouts'
 reports is then one ``diff`` of their outputs.
 """
 
@@ -29,19 +31,39 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import pie  # noqa: E402
-from workloads import WORKLOADS  # noqa: E402
+from workloads import LINEAR_MODEL, WORKLOADS  # noqa: E402
+
+BERNOULLI = {"model": {"family": "bernoulli-beta", "a": 1.0, "b": 1.0},
+             "data": {"source": "simulate", "true_theta": 0.3}}
+
+# the modes, families, samplers and alpha levels the workloads leave out
+EXTRA_CONFIGS = {
+    "bernoulli-consensus": dict(BERNOULLI, n=6000, K=12, sampler="exact",
+                                mode="consensus"),
+    "exponential-full-oracle": {
+        "model": {"family": "exponential-gamma", "a": 1.0, "b": 1.0},
+        "data": {"source": "simulate", "true_theta": 2.0},
+        "n": 2000, "K": 4, "sampler": "exact", "mode": "full-oracle",
+        "alpha_levels": [0.05, 0.2]},
+    "bernoulli-mh": dict(BERNOULLI, n=3000, K=3, sampler="metropolis", mode="pie",
+                         chain={"T_total": 4000}),
+    "linear-mh": {"model": dict(LINEAR_MODEL), "data": {"source": "simulate", "p": 2},
+                  "n": 600, "K": 3, "sampler": "metropolis", "mode": "pie",
+                  "chain": {"T_total": 4000}},
+}
 
 
 def write_runs(seeds: list, workers: list) -> list:
-    """Write every workload's inputs and reports under the current directory
-    and return the paths of the CSV inputs and of the report files."""
+    """Write every configuration's inputs and reports under the current
+    directory and return the paths of the CSV inputs and of the report files."""
     paths = []
-    for workload in WORKLOADS.values():
+    configs = {**{w.name: w.config for w in WORKLOADS.values()}, **EXTRA_CONFIGS}
+    for name, workload_config in configs.items():
         for seed in seeds:
-            base = Path(workload.name) / f"seed-{seed}"
+            base = Path(name) / f"seed-{seed}"
             base.mkdir(parents=True)
-            config = dict(workload.config, seeds=[seed])
-            if workload.reads_csv:
+            config = dict(workload_config, seeds=[seed])
+            if config["data"]["source"] == "csv":
                 data = pie.simulate_linear(config["n"], config["data"]["p"], seed)
                 pie.write_observations(data, base / "data.csv")
                 config["data"] = dict(config["data"], path=str(base / "data.csv"))
