@@ -15,19 +15,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, check_count
 from .families import read_only
 from .samplers import DrawMatrix
 
 
 def default_grid(size: int = 999) -> np.ndarray:
     """Equispaced probability grid k / (size + 1), k = 1..size."""
-    if size < 1:
-        raise ConfigError("grid size must be >= 1")
-    try:
-        return np.arange(1, size + 1) / (size + 1.0)
-    except ValueError as exc:  # numpy refuses a size past its limits
-        raise ConfigError(f"grid size {size} is too large: {exc}") from None
+    check_count(size, "grid size")
+    return np.arange(1, size + 1) / (size + 1.0)
 
 
 def _as_grid(grid) -> np.ndarray:

@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from .errors import ConfigError, coerce, whole
+from .errors import ConfigError, check_count, coerce, whole
 from .families import CONJUGATE
 from .models import LinearFunctional, ModelSpec
 from .samplers import ChainConfig
@@ -48,8 +48,7 @@ class ExperimentConfig:
         for alpha in self.alpha_levels:
             if not 0.0 < alpha < 1.0:
                 raise ConfigError(f"alpha levels must lie in (0, 1), got {alpha}")
-        if self.grid_size < 1:
-            raise ConfigError("grid_size must be >= 1")
+        check_count(self.grid_size, "grid_size")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
         if len(set(self.seeds)) != len(self.seeds):

@@ -33,6 +33,17 @@ def whole(value) -> int:
     return int(value)
 
 
+MAX_ELEMENTS = 10 ** 8
+
+
+def check_count(value: int, key: str) -> int:
+    """``value`` if it lies in [1, MAX_ELEMENTS]; a count past the bound asks
+    numpy for an array it may not be able to allocate."""
+    if not 1 <= value <= MAX_ELEMENTS:
+        raise ConfigError(f"{key} must lie in [1, {MAX_ELEMENTS:.0e}], got {value}")
+    return value
+
+
 def coerce(value, kind, key: str):
     """``kind(value)``, reporting a failed conversion as a ConfigError on ``key``."""
     try:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .combine import QuantileTable, _require_shared_grid
 from .errors import ConfigError, DataError, NumericError
-from .families import read_only
+from .families import float_array, read_only
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -184,6 +184,10 @@ class RateFit:
     log_w2: np.ndarray
     slope: float
     intercept: float
+
+    def __post_init__(self):
+        for name in ("log_n", "log_w2"):
+            object.__setattr__(self, name, read_only(float_array(getattr(self, name))))
 
 
 def rate_fit(ns, w2s) -> RateFit:

@@ -216,11 +216,18 @@ class TemperedTarget:
     data outside a conjugate family's support raise ``DataError`` on
     construction, as the exact samplers do.  Instances are immutable,
     reentrant, and safe to share across threads.
+
+    ``log_density`` checks the size of ``theta`` on every call.
+    ``log_kernel`` is the same function without that check: it takes a
+    float ndarray of shape (d,) or a tuple of d floats.  A caller that has
+    checked its point once, such as a Metropolis chain, calls it directly.
+    ``custom-logdensity`` callables always receive a float ndarray.
     """
 
     model: ModelSpec
     shard_data: ObservationSet
     temper: float
+    log_kernel: Callable = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "temper", check_temper(self.temper))
@@ -231,9 +238,10 @@ class TemperedTarget:
             h = self.model.hyperparameters
             y, Z = conjugate.check(h, self.shard_data.responses, self.shard_data.design)
             kernel = conjugate.log_kernel(h, y, Z, self.temper)
-        object.__setattr__(self, "_log_kernel", kernel)
+        object.__setattr__(self, "log_kernel", kernel)
 
     def _custom_log_density(self, theta) -> float:
+        theta = np.asarray(theta, dtype=float)
         lp = float(self.model.log_prior(theta))
         if not np.isfinite(lp):
             return -np.inf
@@ -248,7 +256,7 @@ class TemperedTarget:
             raise ConfigError(
                 f"theta has {theta.size} entries, expected {self.model.parameter_dim}"
             )
-        return self._log_kernel(theta)
+        return self.log_kernel(theta)
 
 
 def tempered_log_density(target: TemperedTarget, theta) -> float:

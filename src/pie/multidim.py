@@ -26,6 +26,7 @@ from .combine import (
     sample_from_table,
 )
 from .errors import ConfigError, DataError, NumericError
+from .families import float_array, read_only
 from .samplers import DrawMatrix
 
 
@@ -37,6 +38,10 @@ class PooledTransform:
     cov: np.ndarray
     cov_sqrt: np.ndarray
     cov_inv_sqrt: np.ndarray
+
+    def __post_init__(self):
+        for name in ("mean", "cov", "cov_sqrt", "cov_inv_sqrt"):
+            object.__setattr__(self, name, read_only(float_array(getattr(self, name))))
 
     def whiten(self, values: np.ndarray) -> np.ndarray:
         return (values - self.mean) @ self.cov_inv_sqrt

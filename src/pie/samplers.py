@@ -15,7 +15,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import rng
-from .errors import ConfigError, NumericError, coerce
+from .errors import ConfigError, NumericError, check_count, coerce
 from .families import (BERNOULLI, EXPONENTIAL, LINEAR, POISSON, NormalLinearPosterior,
                        read_only)
 from .models import TemperedTarget
@@ -63,8 +63,7 @@ class ChainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.T_total < 1:
-            raise ConfigError("T_total must be >= 1")
+        check_count(self.T_total, "T_total")
         if not 0.0 <= self.burn_fraction < 1.0:
             raise ConfigError("burn_fraction must lie in [0, 1)")
         if self.thin < 1:
@@ -158,6 +157,11 @@ def sample_metropolis(target: TemperedTarget, init, cfg: ChainConfig,
     the burn-in phase adapts the step size toward acceptance rate 0.234 and
     freezes it before any retained draw; the reported ``accept_rate`` covers
     only the frozen phase.  Bit-identical output for identical (inputs, cfg).
+
+    The target and the initial point are checked once, through
+    ``target.log_density``; every step then calls ``target.log_kernel``.  A
+    one-parameter state is held as a Python float, whose sums are the same
+    IEEE operations as on 1-element arrays.
     """
     theta = np.atleast_1d(np.asarray(init, dtype=float)).copy()
     d = theta.size
@@ -165,6 +169,8 @@ def sample_metropolis(target: TemperedTarget, init, cfg: ChainConfig,
     if not np.isfinite(lp):
         raise NumericError(f"target is not finite at the initial point {init!r}")
 
+    kernel = target.log_kernel
+    state = float(theta[0]) if d == 1 else theta
     auto = cfg.proposal_scale == "auto"
     scale = 2.38 / math.sqrt(d) if auto else float(cfg.proposal_scale)
     n_burn = int(cfg.T_total * cfg.burn_fraction)
@@ -172,23 +178,32 @@ def sample_metropolis(target: TemperedTarget, init, cfg: ChainConfig,
     g = rng.stream(rng.CHAIN, cfg.seed)
 
     def run_phase(n_steps, adapt):
-        nonlocal theta, lp, scale
-        states = np.empty((n_steps, d))
+        nonlocal state, lp, scale
+        states = []
         accepted = 0
         done = 0
         batch = 0
         while done < n_steps:
             block = min(_ADAPT_BATCH, n_steps - done)
-            z = g.standard_normal((block, d))
-            logu = np.log(g.random(block))
+            jumps = scale * g.standard_normal((block, d))
+            logu = np.log(g.random(block)).tolist()
             acc_block = 0
-            for i in range(block):
-                prop = theta + scale * z[i]
-                lp_prop = target.log_density(prop)
-                if logu[i] < lp_prop - lp:
-                    theta, lp = prop, lp_prop
-                    acc_block += 1
-                states[done + i] = theta
+            if d == 1:
+                for jump, log_u in zip(jumps.ravel().tolist(), logu):
+                    prop = state + jump
+                    lp_prop = kernel((prop,))
+                    if log_u < lp_prop - lp:
+                        state, lp = prop, lp_prop
+                        acc_block += 1
+                    states.append(state)
+            else:
+                for jump, log_u in zip(jumps, logu):
+                    prop = state + jump
+                    lp_prop = kernel(prop)
+                    if log_u < lp_prop - lp:
+                        state, lp = prop, lp_prop
+                        acc_block += 1
+                    states.append(state)
             done += block
             accepted += acc_block
             batch += 1

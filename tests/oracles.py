@@ -10,7 +10,9 @@ CSV input is read back by the ``csv.reader`` row loop that the one-pass
 numeric parse in ``pie.data`` must match.  Shards come from scattering
 shard labels through the seeded permutation and scanning the labels once
 per shard, the rule the sorted hands of ``pie.models.PartitionPlan`` must
-reproduce.
+reproduce.  Metropolis chains come from the loop that checked the target on
+every step through ``log_density``, whose draws the direct-kernel loop in
+``pie.samplers`` must reproduce bit for bit.
 The normal-linear log density, the Poisson base measure and the
 normal-linear draw come from scipy, which the package itself does not
 import: they pin the numpy and ``math`` code that replaced those calls.
@@ -27,7 +29,7 @@ from scipy.linalg import solve_triangular
 from scipy.special import betainc, gammainc, gammaln, ndtri
 from scipy.stats import invgamma, multivariate_normal, norm
 
-from pie import DataError, rng
+from pie import DataError, NumericError, rng
 
 
 def _bisect(cdf, u, lo, hi, iters=200):
@@ -175,3 +177,51 @@ def reference_partition(n, K, seed):
     assignments[perm] = np.arange(n) % K
     sizes = np.bincount(assignments, minlength=K)
     return assignments, sizes, [np.flatnonzero(assignments == j) for j in range(K)]
+
+
+def reference_metropolis(target, init, cfg):
+    """(T x d draws, accept rate) of the random-walk Metropolis chain that
+    evaluates ``target.log_density`` on every step and forms each step as
+    ``theta + scale * z[i]`` on 1-element-or-wider arrays."""
+    theta = np.atleast_1d(np.asarray(init, dtype=float)).copy()
+    d = theta.size
+    lp = target.log_density(theta)
+    if not np.isfinite(lp):
+        raise NumericError(f"target is not finite at the initial point {init!r}")
+
+    auto = cfg.proposal_scale == "auto"
+    scale = 2.38 / math.sqrt(d) if auto else float(cfg.proposal_scale)
+    n_burn = int(cfg.T_total * cfg.burn_fraction)
+    n_post = cfg.T_total - n_burn
+    g = rng.stream(rng.CHAIN, cfg.seed)
+
+    def run_phase(n_steps, adapt):
+        nonlocal theta, lp, scale
+        states = np.empty((n_steps, d))
+        accepted = 0
+        done = 0
+        batch = 0
+        while done < n_steps:
+            block = min(50, n_steps - done)
+            z = g.standard_normal((block, d))
+            logu = np.log(g.random(block))
+            acc_block = 0
+            for i in range(block):
+                prop = theta + scale * z[i]
+                lp_prop = target.log_density(prop)
+                if logu[i] < lp_prop - lp:
+                    theta, lp = prop, lp_prop
+                    acc_block += 1
+                states[done + i] = theta
+            done += block
+            accepted += acc_block
+            batch += 1
+            if adapt:
+                step = min(0.5, 1.0 / math.sqrt(batch))
+                scale *= math.exp(step * (acc_block / block - 0.234))
+        return states, accepted
+
+    if n_burn:
+        run_phase(n_burn, adapt=auto)
+    states, accepted = run_phase(n_post, adapt=False)
+    return states[cfg.thin - 1::cfg.thin], accepted / n_post

@@ -96,6 +96,8 @@ MALFORMED_OVERRIDES = [
     ["functionals=[{a: [1], b: .inf}]"], ["functionals=[{a: [1], b: .nan}]"],
     # numpy refuses this grid size before allocating anything
     ["grid_size=100000000000000000000"],
+    # sizes numpy would try to allocate (36 TiB of chain states, a 4 EiB grid)
+    ["chain.T_total=1.0e+13"], ["grid_size=576460752303423488"], ["grid_size=100000001"],
 ]
 
 
@@ -247,11 +249,13 @@ def test_combine_oversized_grid_exit_code(tmp_path):
     path = tmp_path / "shard.csv"
     write_draws(np.arange(50.0)[:, None], path)
     out = tmp_path / "table.csv"
-    # numpy refuses this grid size before allocating anything
-    result = CliRunner().invoke(main, ["combine", str(path), "--grid-size",
-                                       "100000000000000000000", "--out", str(out)])
-    assert result.exit_code == 2, (result.output, result.exception)
-    assert "grid size" in result.output and not out.exists()
+    # numpy refuses the first size before allocating anything; it would try
+    # to allocate the second (4 EiB)
+    for size in ("100000000000000000000", "576460752303423488"):
+        result = CliRunner().invoke(main, ["combine", str(path), "--grid-size", size,
+                                           "--out", str(out)])
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert "grid size" in result.output and not out.exists()
 
 
 def test_package_imports_without_scipy():

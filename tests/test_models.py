@@ -24,7 +24,8 @@ from pie import (
 )
 from pie.combine import GaussianApprox, QuantileTable
 from pie.families import LINEAR, POISSON
-from pie.metrics import DensityEstimate
+from pie.metrics import DensityEstimate, RateFit
+from pie.multidim import PooledTransform
 from pie.samplers import DrawMatrix
 from oracles import log_factorial_sum, normal_linear_log_density, reference_partition
 
@@ -335,6 +336,9 @@ class TestTypes:
         hyper = ModelSpec("normal-linear-nig",
                           {"a": 6.0, "b": 1.0, "mu_star": y[:2], "omega": m},
                           parameter_dim=3).hyperparameters
+        sqrt, inv_sqrt = 2.0 * m, 0.5 * m
+        pooled = PooledTransform(mean=y[:2], cov=m, cov_sqrt=sqrt, cov_inv_sqrt=inv_sqrt)
+        fit = RateFit(log_n=y, log_w2=u, slope=1.0, intercept=0.0)
         held = {
             "ObservationSet.responses": (obs.responses, y),
             "ObservationSet.design": (obs.design, Z),
@@ -351,6 +355,12 @@ class TestTypes:
             "DensityEstimate.density": (kde.density, f),
             "hyperparameters mu_star": (hyper["mu_star"], y),
             "hyperparameters omega": (hyper["omega"], m),
+            "PooledTransform.mean": (pooled.mean, y[:2]),
+            "PooledTransform.cov": (pooled.cov, m),
+            "PooledTransform.cov_sqrt": (pooled.cov_sqrt, sqrt),
+            "PooledTransform.cov_inv_sqrt": (pooled.cov_inv_sqrt, inv_sqrt),
+            "RateFit.log_n": (fit.log_n, y),
+            "RateFit.log_w2": (fit.log_w2, u),
         }
         for name, (array, given) in held.items():
             with pytest.raises(ValueError, match="read-only"):

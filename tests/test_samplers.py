@@ -24,8 +24,8 @@ from pie import (
 )
 from pie import rng
 from pie.config import load_config
-from pie.data import simulate_univariate
-from oracles import gamma_quantile, normal_linear_draws
+from pie.data import simulate_linear, simulate_univariate
+from oracles import gamma_quantile, normal_linear_draws, reference_metropolis
 
 # two-sample KS critical value at level 0.001 with equal sample sizes
 KS_T = 20000
@@ -239,10 +239,6 @@ class TestMetropolis:
             dm = sample_metropolis(self.gamma_target(), [1.0], cfg)
             assert 0.1 <= dm.accept_rate <= 0.5
 
-    def test_invalid_init(self):
-        with pytest.raises(NumericError):
-            sample_metropolis(self.gamma_target(), [-1.0], ChainConfig(seed=0))
-
     def test_retained_counts_kept_draws(self):
         target = self.gamma_target()
         for T_total in (20, 21, 99, 100, 101, 1000, 1003):
@@ -277,6 +273,27 @@ class TestMetropolis:
         assert rates[1e-4] >= 0.99
         assert rates["auto"] < 0.5
 
+    def test_invalid_init(self, monkeypatch):
+        # a wrong-size or out-of-support initial point fails before any step
+        calls = []
+        model = ModelSpec("custom-logdensity",
+                          log_likelihood=lambda theta, data: 0.0,
+                          log_prior=lambda theta: calls.append(theta) or -math.inf)
+        custom = TemperedTarget(model, ObservationSet([0.0]), 1.0)
+
+        def no_stream(*args):
+            raise AssertionError("a chain step was drawn")
+
+        monkeypatch.setattr(rng, "stream", no_stream)
+        for target, init, error in ((self.gamma_target(), [1.0, 2.0], ConfigError),
+                                    (self.gamma_target(), [-1.0], NumericError),
+                                    (custom, [1.0, 2.0], ConfigError),
+                                    (custom, [1.0], NumericError)):
+            with pytest.raises(error):
+                sample_metropolis(target, init, ChainConfig(seed=0))
+        # the custom callable saw the one valid-size initial point only
+        assert len(calls) == 1
+
     def test_chain_config_validation(self):
         with pytest.raises(ConfigError):
             ChainConfig(T_total=10, burn_fraction=0.5, thin=5)
@@ -285,6 +302,99 @@ class TestMetropolis:
         with pytest.raises(ConfigError):
             ChainConfig(proposal_scale=-1.0)
 
+
+
+def _custom_model(d):
+    """A custom target on the positive orthant whose callables check that they
+    receive a float ndarray of shape (d,)."""
+    def checked(theta):
+        assert isinstance(theta, np.ndarray) and theta.dtype == float
+        assert theta.shape == (d,)
+        return theta
+
+    def log_prior(theta):
+        theta = checked(theta)
+        return -math.inf if theta.min() <= 0 else float(np.log(theta).sum() - theta.sum())
+
+    def log_likelihood(theta, data):
+        theta = checked(theta)
+        return -0.5 * float(((data.responses[:, None] - theta) ** 2).sum())
+
+    return ModelSpec("custom-logdensity", parameter_dim=d,
+                     log_likelihood=log_likelihood, log_prior=log_prior)
+
+
+def _metropolis_targets():
+    gamma = {"a": 1.0, "b": 1.0}
+    return {
+        "poisson": (TemperedTarget(ModelSpec("poisson-gamma", gamma),
+                                   simulate_univariate("poisson", 3.0, 200, 1), 4.0), [3.0]),
+        "exponential": (TemperedTarget(ModelSpec("exponential-gamma", gamma),
+                                       simulate_univariate("exponential", 2.0, 200, 2), 3.0),
+                        [2.0]),
+        "bernoulli": (TemperedTarget(ModelSpec("bernoulli-beta", gamma),
+                                     simulate_univariate("bernoulli", 0.3, 200, 3), 2.0),
+                      [0.3]),
+        "linear-p3": (TemperedTarget(
+            ModelSpec("normal-linear-nig", {"a": 6.0, "b": 2.0, "mu_star": [0.0] * 3,
+                                            "omega": 100.0 * np.eye(3)}, parameter_dim=4),
+            simulate_linear(150, 3, 4), 5.0), [0.5, 0.0, 0.0, 1.0]),
+        "custom-d1": (TemperedTarget(_custom_model(1), ObservationSet([1.0, 1.5, 0.5]), 2.0),
+                      [1.0]),
+        "custom-d2": (TemperedTarget(_custom_model(2), ObservationSet([1.0, 1.5, 0.5]), 2.0),
+                      [1.0, 1.2]),
+    }
+
+
+class TestMetropolisMatchesReferenceLoop:
+    """The chain that calls the target's kernel directly keeps every bit of
+    the chain that checks each proposal through ``log_density``."""
+
+    SETTINGS = {
+        "auto": dict(proposal_scale="auto", burn_fraction=0.5, thin=1),
+        "auto-no-burn-thin3": dict(proposal_scale="auto", burn_fraction=0.0, thin=3),
+        "fixed-thin4": dict(proposal_scale=0.3, burn_fraction=0.3, thin=4),
+        "fixed-no-burn": dict(proposal_scale=0.05, burn_fraction=0.0, thin=2),
+    }
+
+    @staticmethod
+    def assert_same_chain(target, init, cfg):
+        draws, accept_rate = reference_metropolis(target, init, cfg)
+        dm = sample_metropolis(target, init, cfg)
+        assert np.array_equal(dm.values.view(np.uint64), draws.view(np.uint64))
+        assert dm.accept_rate == accept_rate
+
+    @pytest.mark.parametrize("setting", list(SETTINGS))
+    @pytest.mark.parametrize("name", list(_metropolis_targets()))
+    def test_same_bits(self, name, setting):
+        target, init = _metropolis_targets()[name]
+        cfg = ChainConfig(T_total=1237, seed=11, **self.SETTINGS[setting])
+        self.assert_same_chain(target, init, cfg)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_ties_reject(self, d, monkeypatch):
+        # steps of +1 in every coordinate on a density that is 1 on even and
+        # 2^-d on odd integer points: with u = 2^-d, a step from an even point
+        # has a log ratio of exactly log u, a tie the accept rule rejects
+        tie = d * math.log(0.5)
+        assert np.log(0.5 ** d) == tie
+
+        class TiedStream:
+            def standard_normal(self, shape):
+                return np.ones(shape)
+
+            def random(self, size):
+                return np.resize([0.5 ** d, 0.5 ** d, 2.0 ** -60], size)
+
+        model = ModelSpec("custom-logdensity", parameter_dim=d,
+                          log_likelihood=lambda theta, data: 0.0,
+                          log_prior=lambda theta: tie * (theta[0] % 2.0))
+        target = TemperedTarget(model, ObservationSet([0.0]), 1.0)
+        monkeypatch.setattr(rng, "stream", lambda *args: TiedStream())
+        cfg = ChainConfig(T_total=120, burn_fraction=0.0, thin=1, proposal_scale=1.0)
+        self.assert_same_chain(target, [0.0] * d, cfg)
+        # ties came up and were rejected, other steps were accepted
+        assert 0.5 < sample_metropolis(target, [0.0] * d, cfg).accept_rate < 0.7
 
 
 class TestKernelMatchesExactUpdate:
