@@ -41,7 +41,8 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
-        if self.n < 1 or self.K < 1 or self.n < self.K:
+        check_count(self.n, "n")
+        if self.K < 1 or self.n < self.K:
             raise ConfigError(f"need n >= K >= 1, got n={self.n}, K={self.K}")
         if not self.functionals:
             raise ConfigError("at least one functional is required")
@@ -63,6 +64,8 @@ class ExperimentConfig:
             raise ConfigError("csv data source requires a path")
         if self.model.family not in CONJUGATE:
             raise ConfigError(f"config-driven runs support families {tuple(CONJUGATE)}")
+        if CONJUGATE[self.model.family].regression:
+            check_count(self.n * (self.model.parameter_dim - 1), "design size n * data.p")
         for f in self.functionals:
             if f.a.size != self.model.parameter_dim:
                 raise ConfigError(

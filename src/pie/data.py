@@ -17,14 +17,13 @@ import numpy as np
 
 from . import rng
 from .combine import QuantileTable
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, check_count
 from .models import ObservationSet
 
 
 def simulate_univariate(family: str, theta0: float, n: int, seed: int) -> ObservationSet:
     """Draw n i.i.d. observations from the named family at parameter theta0."""
-    if n < 1:
-        raise ConfigError("n must be >= 1")
+    check_count(n, "n")
     if not math.isfinite(theta0):
         raise ConfigError(f"simulation parameter must be finite, got {theta0!r}")
     g = rng.stream(rng.SIMULATE, seed)
@@ -43,7 +42,7 @@ def simulate_univariate(family: str, theta0: float, n: int, seed: int) -> Observ
             y = g.binomial(1, theta0, n).astype(float)
         else:
             raise ConfigError(f"unsupported simulation family '{family}'")
-    except ValueError as exc:  # numpy refuses a poisson rate near 2**63, or such an n
+    except ValueError as exc:  # numpy refuses a poisson rate near 2**63
         raise ConfigError(f"cannot simulate {family} data at {theta0!r}: {exc}") from None
     meta = {"source": "simulate", "family": family, "theta0": float(theta0),
             "seed": int(seed)}
@@ -59,11 +58,9 @@ def simulate_linear(n: int, p: int, seed: int) -> ObservationSet:
     """
     if n < 1 or p < 1:
         raise ConfigError("n and p must be >= 1")
+    check_count(n * p, "design size n * p")
     g = rng.stream(rng.SIMULATE, seed)
-    try:
-        design = (g.integers(0, 2, size=(n, p)) * 2 - 1).astype(float)
-    except ValueError as exc:  # numpy refuses an n x p array past its size limits
-        raise ConfigError(f"cannot simulate {n} x {p} design: {exc}") from None
+    design = (g.integers(0, 2, size=(n, p)) * 2 - 1).astype(float)
     beta = np.zeros(p)
     k = math.ceil(p / 10)
     beta[:k] = [1.0 if i % 2 == 0 else -1.0 for i in range(k)]

@@ -6,10 +6,14 @@ additive sufficient statistics by ``temper`` before they meet the prior.
 One object per family below owns everything that depends on the family:
 hyperparameter validation and config defaults, the data support check, the
 sufficient statistics, the tempered update, exact draws from a given
-generator, the tempered log kernel a Metropolis chain evaluates (constants
-precomputed once per target), the prior mean, and the name of the
-simulation family its data come from.  ``custom-logdensity``, the one
-non-conjugate family, has no object here.
+generator, the log kernel of the updated law, the prior mean, and the name
+of the simulation family its data come from.  ``custom-logdensity``, the
+one non-conjugate family, has no object here.
+
+The tempered posterior is stated once, as the update.  The function a
+Metropolis chain evaluates, ``_Family.log_kernel``, is the updated law's log
+kernel plus one constant, which makes it exactly ``temper * loglik +
+logprior``.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError, coerce, whole
+from .errors import ConfigError, DataError, NumericError, check_count, coerce, whole
 
 _SINGULAR_PRECISION = "singular precision matrix temper * Z'Z + inv(omega)"
 _STATS_ROWS = 10_000
@@ -87,6 +91,22 @@ class _Family:
         y, Z = self.check(h, y, Z)
         return self.update(self.stats(y, Z), check_temper(temper), h)
 
+    def log_base_measure(self, y, Z=None) -> float:
+        """Log of the likelihood's factor free of the parameter."""
+        return 0.0
+
+    def log_kernel(self, h, y, Z, temper):
+        """``temper * loglik(theta) + logprior(theta)`` for checked shard data.
+
+        Tempering the likelihood and multiplying by the prior is the
+        conjugate update, so this is the updated law's log kernel plus one
+        constant: the prior's log normaliser minus ``temper`` times the
+        likelihood's log base measure.
+        """
+        post = self.update(self.stats(y, Z), temper, h)
+        c = self.log_prior_normaliser(h) - temper * self.log_base_measure(y, Z)
+        return self.posterior_log_kernel(post, c)
+
 
 class _ScalarFamily(_Family):
     """Scalar parameter with a two-hyperparameter (a, b) conjugate prior.
@@ -135,19 +155,17 @@ class _GammaRate(_ScalarFamily):
     def prior_mean(self, h) -> np.ndarray:
         return np.array([h["a"] / h["b"]])
 
-    def log_kernel(self, h, y, Z, temper):
-        u, v = self.stats(y)
-        C = self.log_base_measure(y)
-        a, b = h["a"], h["b"]
-        norm = a * math.log(b) - math.lgamma(a)
+    def log_prior_normaliser(self, h) -> float:
+        return h["a"] * math.log(h["b"]) - math.lgamma(h["a"])
+
+    def posterior_log_kernel(self, post, c):
+        a1, rate = float(post[0]) - 1.0, float(post[1])
 
         def log_density(theta):
             t = theta[0]
             if t <= 0:
                 return -np.inf
-            ll = u * math.log(t) - v * t - C
-            lp = norm + (a - 1.0) * math.log(t) - b * t
-            return temper * ll + lp
+            return a1 * math.log(t) - rate * t + c
 
         return log_density
 
@@ -161,9 +179,8 @@ class PoissonGamma(_GammaRate):
     def stats(self, y, Z=None):
         return y.sum(), y.size
 
-    def log_base_measure(self, y) -> float:
-        # log prod y_i!, which only the Metropolis kernel needs; counts
-        # repeat, so lgamma runs once per distinct count
+    def log_base_measure(self, y, Z=None) -> float:
+        # log prod y_i!; counts repeat, so lgamma runs once per distinct count
         values, counts = np.unique(y, return_counts=True)
         return counts @ [math.lgamma(v + 1.0) for v in values.tolist()]
 
@@ -176,9 +193,6 @@ class ExponentialGamma(_GammaRate):
 
     def stats(self, y, Z=None):
         return y.size, y.sum()
-
-    def log_base_measure(self, y) -> float:
-        return 0.0
 
 
 class BernoulliBeta(_ScalarFamily):
@@ -198,18 +212,17 @@ class BernoulliBeta(_ScalarFamily):
     def prior_mean(self, h) -> np.ndarray:
         return np.array([h["a"] / (h["a"] + h["b"])])
 
-    def log_kernel(self, h, y, Z, temper):
-        S, F = self.stats(y)
-        a, b = h["a"], h["b"]
-        norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    def log_prior_normaliser(self, h) -> float:
+        return math.lgamma(h["a"] + h["b"]) - math.lgamma(h["a"]) - math.lgamma(h["b"])
+
+    def posterior_log_kernel(self, post, c):
+        a1, b1 = float(post[0]) - 1.0, float(post[1]) - 1.0
 
         def log_density(theta):
             t = theta[0]
             if not 0.0 < t < 1.0:
                 return -np.inf
-            ll = S * math.log(t) + F * math.log1p(-t)
-            lp = norm + (a - 1.0) * math.log(t) + (b - 1.0) * math.log1p(-t)
-            return temper * ll + lp
+            return a1 * math.log(t) + b1 * math.log1p(-t) + c
 
         return log_density
 
@@ -251,6 +264,7 @@ class NormalLinearNIG(_Family):
         p = coerce(data["p"], whole, "data.p")
         if p < 1:
             raise ConfigError("data.p must be >= 1")
+        check_count(p * p, "omega size data.p ** 2")
         omega = raw.get("omega", 100.0)
         if np.isscalar(omega):
             omega = coerce(omega, float, "model.omega") * np.eye(p)
@@ -324,25 +338,26 @@ class NormalLinearNIG(_Family):
             return None
         return np.array(list(beta0) + [float(sigma2)])
 
-    def log_kernel(self, h, y, Z, temper):
-        ZtZ, Zty, yty, m = self.stats(y, Z)
-        mu_star = h["mu_star"]
-        omega_inv = np.linalg.inv(h["omega"])
+    def log_base_measure(self, y, Z=None) -> float:
+        return 0.5 * y.size * math.log(2.0 * math.pi)
+
+    def log_prior_normaliser(self, h) -> float:
         _, logdet_omega = np.linalg.slogdet(h["omega"])
         a2, b2 = h["a"] / 2.0, h["b"] / 2.0
-        sigma2_norm = a2 * math.log(b2) - math.lgamma(a2)
+        return -0.5 * h["mu_star"].size * math.log(2.0 * math.pi) - 0.5 * logdet_omega \
+            + a2 * math.log(b2) - math.lgamma(a2)
+
+    def posterior_log_kernel(self, post: NormalLinearPosterior, c):
+        # halving the precision is exact, so dev @ half @ dev is 0.5 * dev'P dev
+        location, half, rate = post.coef_location, 0.5 * post.coef_precision, post.noise_rate
+        power = post.noise_shape + location.size / 2.0 + 1.0
 
         def log_density(theta):
-            beta, sigma2 = theta[:-1], theta[-1]
+            sigma2 = theta[-1]
             if sigma2 <= 0:
                 return -np.inf
-            ssr = yty - 2.0 * (beta @ Zty) + beta @ ZtZ @ beta
-            ll = -0.5 * m * math.log(2.0 * math.pi * sigma2) - ssr / (2.0 * sigma2)
-            dev = beta - mu_star
-            lp_beta = -0.5 * beta.size * math.log(2.0 * math.pi * sigma2) \
-                - 0.5 * logdet_omega - dev @ omega_inv @ dev / (2.0 * sigma2)
-            lp_sigma = sigma2_norm - (a2 + 1.0) * math.log(sigma2) - b2 / sigma2
-            return temper * ll + lp_beta + lp_sigma
+            dev = theta[:-1] - location
+            return c - power * math.log(sigma2) - (rate + dev @ half @ dev) / sigma2
 
         return log_density
 

@@ -210,12 +210,13 @@ class ModelSpec:
 class TemperedTarget:
     """Log kernel of one shard's tempered posterior.
 
-    Evaluates ``temper * loglik(theta) + logprior(theta)`` up to an additive
-    constant fixed per instance; points outside the prior support return
-    ``-inf`` so Metropolis proposals there are rejected naturally.  Shard
-    data outside a conjugate family's support raise ``DataError`` on
-    construction, as the exact samplers do.  Instances are immutable,
-    reentrant, and safe to share across threads.
+    Evaluates exactly ``temper * loglik(theta) + logprior(theta)``; points
+    outside the prior support return ``-inf`` so Metropolis proposals there
+    are rejected naturally.  A conjugate family's value is read off its
+    tempered update, so shard data the exact samplers refuse are refused
+    on construction too: outside the support with ``DataError``, an
+    ill-posed normal-linear update with ``NumericError``.  Instances are
+    immutable, reentrant, and safe to share across threads.
 
     ``log_density`` checks the size of ``theta`` on every call.
     ``log_kernel`` is the same function without that check: it takes a

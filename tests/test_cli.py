@@ -98,6 +98,8 @@ MALFORMED_OVERRIDES = [
     ["grid_size=100000000000000000000"],
     # sizes numpy would try to allocate (36 TiB of chain states, a 4 EiB grid)
     ["chain.T_total=1.0e+13"], ["grid_size=576460752303423488"], ["grid_size=100000001"],
+    # 72.8 TiB of Poisson counts, a 7.28 TiB omega, a design past 10^8 entries
+    ["n=1.0e+13"], [*LINEAR_OVERRIDES, "data.p=1000000"], [*LINEAR_OVERRIDES, "n=50000001"],
 ]
 
 
@@ -139,15 +141,21 @@ def test_simulation_parameter_faults_exit_code(tmp_path):
             result = CliRunner().invoke(main, args)
             assert result.exit_code == 2, (args, result.output, result.exception)
             assert "error" in result.output
-    # numpy refuses a design this long before allocating anything
+    # data too large to allocate is refused before anything is allocated
     linear = [arg for item in LINEAR_OVERRIDES for arg in ("--set", item)]
     for args in (["simulate", "--family", "linear", "--n", "1000000000000000000000",
                   "--out", str(tmp_path / "never.csv")],
+                 ["simulate", "--family", "linear", "--n", "50000001", "--p", "2",
+                  "--out", str(tmp_path / "never.csv")],
+                 ["simulate", "--family", "poisson", "--n", "10000000000000",
+                  "--theta0", "3", "--out", str(tmp_path / "never.csv")],
                  ["run", "--config", str(cfg), "--out", str(tmp_path / "never"),
-                  *linear, "--set", "n=1.0e+21"]):
+                  *linear, "--set", "n=1.0e+21"],
+                 ["run", "--config", str(cfg), "--out", str(tmp_path / "never"),
+                  "--set", "n=1.0e+13"]):
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 2, (args, result.output, result.exception)
-        assert "Maximum allowed dimension exceeded" in result.output
+        assert "must lie in [1, 1e+08]" in result.output
     assert not (tmp_path / "never").exists() and not (tmp_path / "never.csv").exists()
 
 

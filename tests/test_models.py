@@ -196,7 +196,7 @@ class TestTemperedLogDensity:
         assert np.isfinite(tempered_log_density(target, [0.1, -0.2, 1.3]))
         assert tempered_log_density(target, [0.1, -0.2, -1.0]) == -np.inf
 
-    @pytest.mark.parametrize("p", [1, 2, 5])
+    @pytest.mark.parametrize("p", [1, 2, 5, 10])
     def test_normal_linear_matches_scipy(self, p):
         g = np.random.default_rng(p)
         Z = g.standard_normal((40, p))

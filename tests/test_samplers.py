@@ -193,6 +193,12 @@ class TestNormalLinear:
             # all-zero design with a huge flat prior: singular precision
             normal_linear_nig_params([1.0, 1.0], [[0.0], [0.0]], 1.0, [0.0],
                                      [[np.inf]], 5.0, 1.0)
+        # the Metropolis target is read off the same update, so building it
+        # refuses the same shard
+        model = ModelSpec("normal-linear-nig", {"a": 5.0, "b": 1.0, "mu_star": [0.0],
+                                                "omega": [[np.inf]]}, parameter_dim=2)
+        with pytest.raises(NumericError):
+            TemperedTarget(model, ObservationSet([1.0, 1.0], [[0.0], [0.0]]), 1.0)
 
 
 class TestMetropolis:
@@ -395,6 +401,59 @@ class TestMetropolisMatchesReferenceLoop:
         self.assert_same_chain(target, [0.0] * d, cfg)
         # ties came up and were rejected, other steps were accepted
         assert 0.5 < sample_metropolis(target, [0.0] * d, cfg).accept_rate < 0.7
+
+
+def _scipy_twin(target):
+    """The ``custom-logdensity`` target with a conjugate target's data, temper
+    and prior, whose log likelihood and log prior are scipy's."""
+    h = target.model.hyperparameters
+    if target.model.family == "normal-linear-nig":
+        def log_likelihood(theta, data):
+            fit = data.design @ theta[:-1]
+            return sp_stats.norm.logpdf(data.responses, fit, math.sqrt(theta[-1])).sum()
+
+        def log_prior(theta):
+            lp = sp_stats.invgamma.logpdf(theta[-1], h["a"] / 2.0, scale=h["b"] / 2.0)
+            if not np.isfinite(lp):
+                return lp
+            return lp + sp_stats.multivariate_normal.logpdf(
+                theta[:-1], h["mu_star"], theta[-1] * h["omega"])
+    else:
+        gamma = sp_stats.gamma(h["a"], scale=1.0 / h["b"])
+        loglik, prior = {
+            "poisson-gamma": (sp_stats.poisson.logpmf, gamma),
+            "exponential-gamma": (lambda y, t: sp_stats.expon.logpdf(y, scale=1.0 / t), gamma),
+            "bernoulli-beta": (sp_stats.bernoulli.logpmf, sp_stats.beta(h["a"], h["b"])),
+        }[target.model.family]
+
+        def log_likelihood(theta, data):
+            return loglik(data.responses, theta[0]).sum()
+
+        def log_prior(theta):
+            return prior.logpdf(theta[0])
+
+    model = ModelSpec("custom-logdensity", parameter_dim=target.model.parameter_dim,
+                      log_likelihood=log_likelihood, log_prior=log_prior)
+    return TemperedTarget(model, target.shard_data, target.temper)
+
+
+class TestMetropolisMatchesScipyTarget:
+    """A chain on a conjugate target keeps every bit of the chain on the same
+    tempered posterior written as scipy's likelihood times scipy's prior, so
+    the family kernel takes every accept decision the oracle takes."""
+
+    @pytest.mark.parametrize("scale", ["auto", 0.05])
+    @pytest.mark.parametrize("name", ["poisson", "exponential", "bernoulli", "linear-p3"])
+    def test_same_bits(self, name, scale):
+        target, init = _metropolis_targets()[name]
+        cfg = ChainConfig(T_total=1500, burn_fraction=0.4, thin=1, proposal_scale=scale,
+                          seed=23)
+        dm = sample_metropolis(target, init, cfg)
+        oracle = sample_metropolis(_scipy_twin(target), init, cfg)
+        assert np.array_equal(dm.values.view(np.uint64), oracle.values.view(np.uint64))
+        assert dm.accept_rate == oracle.accept_rate
+        # the chain both moved and refused steps, so the decisions were tested
+        assert 0.0 < dm.accept_rate < 1.0
 
 
 class TestKernelMatchesExactUpdate:

@@ -3,7 +3,7 @@
 
     python3 tools/report_digest.py --seeds 1 2 --workers 1 2 > digest.txt
 
-Runs each configuration of ``perfbench/workloads.py``, and the four of
+Runs each configuration of ``perfbench/workloads.py``, and the six of
 ``EXTRA_CONFIGS`` below that cover what those leave out, once per master
 seed and worker count, with the three calls `pie run` makes
 (`load_config`, `run_experiment`, `emit_report`), using the package in
@@ -12,7 +12,7 @@ under fixed relative paths, so the config echo in ``config.yaml`` is the
 same in every checkout and compares too.  The output is one
 ``sha256  relative/path`` line per report file, ``timings.json``
 excepted, plus one for each CSV input written for a configuration that
-reads one: 138 lines for the arguments above.  Comparing two checkouts'
+reads one: 170 lines for the arguments above.  Comparing two checkouts'
 reports is then one ``diff`` of their outputs.
 """
 
@@ -50,6 +50,15 @@ EXTRA_CONFIGS = {
     "linear-mh": {"model": dict(LINEAR_MODEL), "data": {"source": "simulate", "p": 2},
                   "n": 600, "K": 3, "sampler": "metropolis", "mode": "pie",
                   "chain": {"T_total": 4000}},
+    # with the two above and poisson-mh, a Metropolis chain on every family
+    "exponential-mh": {
+        "model": {"family": "exponential-gamma", "a": 1.0, "b": 1.0},
+        "data": {"source": "simulate", "true_theta": 2.0},
+        "n": 3000, "K": 3, "sampler": "metropolis", "mode": "pie",
+        "chain": {"T_total": 4000}},
+    "linear-p10-mh": {"model": dict(LINEAR_MODEL), "data": {"source": "simulate", "p": 10},
+                      "n": 1000, "K": 2, "sampler": "metropolis", "mode": "pie",
+                      "chain": {"T_total": 4000}},
 }
 
 
