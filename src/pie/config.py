@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -64,8 +65,20 @@ class ExperimentConfig:
             raise ConfigError("csv data source requires a path")
         if self.model.family not in CONJUGATE:
             raise ConfigError(f"config-driven runs support families {tuple(CONJUGATE)}")
-        if CONJUGATE[self.model.family].regression:
+        family = CONJUGATE[self.model.family]
+        if family.regression:
             check_count(self.n * (self.model.parameter_dim - 1), "design size n * data.p")
+        if self.sampler == "metropolis":
+            # the Metropolis target holds the prior's log normaliser, which a
+            # flat prior, such as an infinite variance in omega, does not have
+            try:
+                proper = math.isfinite(family.log_prior_normaliser(self.model.hyperparameters))
+            except OverflowError:
+                proper = False
+            if not proper:
+                raise ConfigError("sampler 'metropolis' needs a proper prior: its log "
+                                  "normaliser is not finite (check model.omega, model.a "
+                                  "and model.b)")
         for f in self.functionals:
             if f.a.size != self.model.parameter_dim:
                 raise ConfigError(

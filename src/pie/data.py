@@ -162,8 +162,25 @@ def _is_float(cell: str) -> bool:
 
 
 def format_numbers(column) -> list:
-    """Each number of ``column`` as ``repr`` of the Python float."""
-    return list(map(repr, np.asarray(column, dtype=float).tolist()))
+    """Each number of a one-dimensional ``column`` as ``repr`` of the Python float.
+
+    orjson writes the whole column in one native call with the same
+    shortest round-trip digits; for every value ``repr`` writes in
+    positional form (±0 and 1e-4 <= |x| < 1e16) its text is ``repr``'s.
+    The rest, where orjson writes ``0.00001`` or ``1e16`` for ``repr``'s
+    ``1e-05`` or ``1e+16``, or ``null`` for a non-finite value, take
+    ``repr`` itself.
+    """
+    import orjson  # not at module level: ``import pie`` need not load it
+
+    values = np.ascontiguousarray(column, dtype=float)
+    if not values.size:
+        return []
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    size = np.abs(values)
+    for i in np.flatnonzero(~((size >= 1e-4) & (size < 1e16)) & (values != 0)).tolist():
+        text[i] = repr(float(values[i]))
+    return text
 
 
 def write_rows(path, header: list, blocks):

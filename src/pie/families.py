@@ -267,7 +267,7 @@ class NormalLinearNIG(_Family):
         check_count(p * p, "omega size data.p ** 2")
         omega = raw.get("omega", 100.0)
         if np.isscalar(omega):
-            omega = coerce(omega, float, "model.omega") * np.eye(p)
+            omega = np.diag(np.full(p, coerce(omega, float, "model.omega")))
         return {"a": raw.get("a", 6.0), "b": raw.get("b", 2.0),
                 "mu_star": raw.get("mu_star", [0.0] * p), "omega": omega}, p + 1
 

@@ -49,6 +49,9 @@ from .samplers import (
 
 
 INTERVALS_HEADER = ["functional", "alpha", "lower", "upper"]
+# libyaml's emitter writes the same bytes as the pure-Python SafeDumper, which
+# is kept for a PyYAML built without libyaml
+YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
 @dataclass
@@ -280,7 +283,7 @@ def _report_files(report: ExperimentReport) -> dict:
     echo = {"config": report.config, "versions": report.versions}
     files = {
         Path("config.yaml"): lambda path: path.write_text(
-            yaml.safe_dump(echo, sort_keys=True), encoding="utf-8"),
+            yaml.dump(echo, Dumper=YAML_DUMPER, sort_keys=True), encoding="utf-8"),
         Path("metrics.json"): partial(write_json, obj={"cells": [
             cell for result in report.seed_results for cell in result.cells]}),
         Path("timings.json"): partial(write_json, obj=report.timings),

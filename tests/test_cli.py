@@ -90,6 +90,8 @@ MALFORMED_OVERRIDES = [
     ["chain.thin=abc"], ["chain.T_total=[1]"], ["grid_size=x"],
     [*LINEAR_OVERRIDES, "data.p=x"], ["data.true_theta=x"], ["functionals=[{a: [x]}]"],
     [*LINEAR_OVERRIDES, "model.omega=[[1,0],[0]]"], ["model=[1]"], ["chain=5"],
+    # a flat prior has no normaliser for the Metropolis target to hold
+    [*LINEAR_OVERRIDES, "model.omega=[[.inf, 0], [0, .inf]]", "sampler=metropolis"],
     # whole-number keys refuse a fraction or a bool rather than truncate it
     ["n=200.5"], ["n=true", "K=1"], ["K=1.5"], ["grid_size=49.5"], ["chain.T_total=2000.5"],
     ["chain.thin=1.5"], ["seeds=[1.5]"], ["seeds=[true]"], [*LINEAR_OVERRIDES, "data.p=2.5"],

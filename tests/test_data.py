@@ -20,7 +20,7 @@ from pie import (
     write_quantile_table,
 )
 from pie import rng
-from pie.data import _parse_body, _read_table
+from pie.data import _parse_body, _read_table, format_numbers
 from oracles import SPECIAL_FLOATS as SPECIAL, reference_csv, reference_read_table
 
 # every reader of a two-column numeric file, with a header it accepts
@@ -236,6 +236,50 @@ class TestReaderMatchesRowLoop:
         back = load_csv(path)
         assert np.array_equal(back.responses.view(np.uint64), values[:, 0].view(np.uint64))
         assert np.array_equal(back.design.view(np.uint64), values[:, 1:].view(np.uint64))
+
+
+def reference_format_numbers(column) -> list:
+    """The formatter as one ``repr`` per Python float."""
+    return list(map(repr, np.asarray(column, dtype=float).tolist()))
+
+
+def nextafters(x: float) -> list:
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+class TestFormatNumbers:
+    """``format_numbers`` writes ``repr`` of every float, including the values
+    ``repr`` writes in exponent form and the non-finite ones."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.floats(allow_subnormal=True), max_size=50))
+    def test_random_floats(self, values):
+        assert format_numbers(np.array(values)) == reference_format_numbers(values)
+
+    def test_edges(self):
+        big = np.finfo(float).max
+        values = [0.0, 5e-324, big, 2.0 ** 49 + 0.125, *nextafters(1e-4), *nextafters(1e16),
+                  np.nan, np.inf]
+        values = np.array(values + [-v for v in values])
+        assert format_numbers(values) == reference_format_numbers(values)
+
+    def test_random_bit_patterns_and_ties(self):
+        g = np.random.default_rng(4)
+        bits = g.integers(0, 2 ** 64, size=20_000, dtype=np.uint64)
+        # integers, and values in [5e14, 1e16) where shortest digits can tie
+        values = np.concatenate([bits.view(np.float64), g.integers(-10 ** 6, 10 ** 6, 5_000),
+                                 g.uniform(5e14, 1e16, 5_000), g.uniform(-1e-3, 1e-3, 5_000)])
+        assert format_numbers(values) == reference_format_numbers(values)
+
+    def test_empty_strided_and_read_only_columns(self):
+        assert format_numbers(np.array([])) == []
+        design = np.random.default_rng(5).standard_normal((40, 3)) * 1e-3
+        for column in (*design.T, design[::3, 1], design.ravel()[::-2]):
+            assert not column.flags.c_contiguous
+            assert format_numbers(column) == reference_format_numbers(column)
+        design.flags.writeable = False
+        assert format_numbers(design[:, 0]) == reference_format_numbers(design[:, 0])
+        assert format_numbers(design.ravel()) == reference_format_numbers(design.ravel())
 
 
 class TestTableAndDrawFiles:

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from pie import (
 from pie import rng as pie_rng
 from pie.cli import main
 from pie.data import read_json
-from pie.runner import _sample_shard
+from pie.runner import YAML_DUMPER, _sample_shard, _versions
 from oracles import SPECIAL_FLOATS as SPECIAL, gamma_quantile, reference_csv
 
 
@@ -101,6 +103,35 @@ class TestConfig:
         cfg = load_config(path)
         assert cfg.model.parameter_dim == 4
         assert len(cfg.functionals) == 4  # coordinate projections by default
+
+    def test_scalar_omega_is_the_diagonal_matrix(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(
+            yaml.safe_dump({"model": {"family": "normal-linear-nig"},
+                            "n": 200, "K": 2, "data": {"p": 2}}),
+            encoding="utf-8",
+        )
+        for scalar, matrix in [("2.5", "[[2.5, 0], [0, 2.5]]"),
+                               (".inf", "[[.inf, 0], [0, .inf]]")]:
+            omega = load_config(path, {"model.omega": scalar}).model.hyperparameters["omega"]
+            assert np.array_equal(
+                omega, load_config(path, {"model.omega": matrix}).model.hyperparameters["omega"])
+        assert np.array_equal(omega, np.diag([np.inf, np.inf]))
+
+    def test_metropolis_needs_a_proper_prior(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(
+            yaml.safe_dump({"model": {"family": "normal-linear-nig", "omega": float("inf")},
+                            "n": 200, "K": 2, "data": {"p": 2}}),
+            encoding="utf-8",
+        )
+        assert load_config(path).sampler == "exact"
+        with pytest.raises(ConfigError, match="model.omega"):
+            load_config(path, {"sampler": "metropolis"})
+        # a Gamma shape whose log normaliser overflows
+        with pytest.raises(ConfigError, match="proper prior"):
+            poisson_config(model=ModelSpec("poisson-gamma", {"a": 1e307, "b": 1.0}),
+                           sampler="metropolis")
 
     def test_custom_family_rejected_in_config(self):
         with pytest.raises(ConfigError):
@@ -328,6 +359,30 @@ class TestEmitReport:
         assert intervals.splitlines()[0] == "functional,alpha,lower,upper"
         metrics = json.loads((tmp_path / "run" / "metrics.json").read_text())
         assert len(metrics["cells"]) == 1
+
+    def test_config_echo_dumpers_agree(self, tmp_path):
+        # the echo of every report_digest configuration, and strings YAML quotes
+        spec = importlib.util.spec_from_file_location(
+            "report_digest", Path(__file__).parent.parent / "tools" / "report_digest.py")
+        digest = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(digest)
+        configs = [w.config for w in digest.WORKLOADS.values()]
+        configs += digest.EXTRA_CONFIGS.values()
+        strings = ["/data/" + "deep directory/" * 30 + "obs.csv", "x" * 400, "with space",
+                   " leading", "trailing ", "ünïcödé ø", "日本語のパス", "yes", "No", "on",
+                   "~", "null", "#x", "a #b", "it's", '"quoted"', "line\nbreak", "tab\tcell"]
+        if yaml.__with_libyaml__:
+            assert YAML_DUMPER is yaml.CSafeDumper
+        path = tmp_path / "cfg.yaml"
+        for config in configs:
+            for text in strings:
+                path.write_text(yaml.safe_dump(
+                    dict(config, output_dir=text, data=dict(config["data"], path=text))),
+                    encoding="utf-8")
+                echo = {"config": load_config(path).echo(), "versions": _versions()}
+                dumped = yaml.dump(echo, Dumper=YAML_DUMPER, sort_keys=True)
+                assert dumped == yaml.safe_dump(echo, sort_keys=True)
+                assert yaml.safe_load(dumped) == echo
 
     def test_refuses_overwrite(self, tmp_path):
         cfg = poisson_config(output_dir=str(tmp_path / "run"))

@@ -3,7 +3,7 @@
 
     python3 tools/report_digest.py --seeds 1 2 --workers 1 2 > digest.txt
 
-Runs each configuration of ``perfbench/workloads.py``, and the six of
+Runs each configuration of ``perfbench/workloads.py``, and the seven of
 ``EXTRA_CONFIGS`` below that cover what those leave out, once per master
 seed and worker count, with the three calls `pie run` makes
 (`load_config`, `run_experiment`, `emit_report`), using the package in
@@ -12,7 +12,7 @@ under fixed relative paths, so the config echo in ``config.yaml`` is the
 same in every checkout and compares too.  The output is one
 ``sha256  relative/path`` line per report file, ``timings.json``
 excepted, plus one for each CSV input written for a configuration that
-reads one: 170 lines for the arguments above.  Comparing two checkouts'
+reads one: 186 lines for the arguments above.  Comparing two checkouts'
 reports is then one ``diff`` of their outputs.
 """
 
@@ -59,6 +59,11 @@ EXTRA_CONFIGS = {
     "linear-p10-mh": {"model": dict(LINEAR_MODEL), "data": {"source": "simulate", "p": 10},
                       "n": 1000, "K": 2, "sampler": "metropolis", "mode": "pie",
                       "chain": {"T_total": 4000}},
+    # table values near 9e-07, which repr writes in exponent form
+    "exponential-small-rate": {
+        "model": {"family": "exponential-gamma", "a": 1.0, "b": 1.0},
+        "data": {"source": "simulate", "true_theta": 1.0e-6},
+        "n": 2000, "K": 4, "sampler": "exact", "mode": "pie"},
 }
 
 
