@@ -1,4 +1,10 @@
-"""Experiment configuration: YAML loading, defaults, and flag overrides."""
+"""Experiment configuration: YAML loading, defaults, and flag overrides.
+
+``KEYS`` is the one table of config keys outside ``model``: each dotted key
+maps to the ``ExperimentConfig`` field it sets (the ``ChainConfig`` field for
+``chain.*``) and to its coercion.  A key's default is its field's default.
+The model family reads its own keys; any other key is refused.
+"""
 
 from __future__ import annotations
 
@@ -18,20 +24,24 @@ from .samplers import ChainConfig
 
 MODES = ("pie", "consensus", "multidim", "full-oracle")
 SAMPLERS = ("exact", "metropolis")
+SECTIONS = ("model", "data", "chain")
 
 OUTPUT_DIR_ENV = "PIE_OUT_DIR"
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one experiment needs; validated on construction."""
+    """Everything one experiment needs; validated on construction.
+
+    ``functionals=None`` means one coordinate functional per parameter.
+    """
 
     model: ModelSpec
     n: int
-    K: int
-    chain: ChainConfig
-    functionals: list[LinearFunctional]
-    alpha_levels: list[float]
+    K: int = 1
+    chain: ChainConfig = field(default_factory=ChainConfig)
+    functionals: Optional[list[LinearFunctional]] = None
+    alpha_levels: list[float] = field(default_factory=lambda: [0.1])
     grid_size: int = 999
     seeds: list[int] = field(default_factory=lambda: [0])
     mode: str = "pie"
@@ -45,6 +55,9 @@ class ExperimentConfig:
         check_count(self.n, "n")
         if self.K < 1 or self.n < self.K:
             raise ConfigError(f"need n >= K >= 1, got n={self.n}, K={self.K}")
+        if self.functionals is None:
+            object.__setattr__(self, "functionals", [
+                LinearFunctional(a=row) for row in np.eye(self.model.parameter_dim)])
         if not self.functionals:
             raise ConfigError("at least one functional is required")
         for alpha in self.alpha_levels:
@@ -84,47 +97,68 @@ class ExperimentConfig:
                 raise ConfigError(
                     "functional dimension does not match the model parameter"
                 )
+        # one seed holds every shard's retained draws and the oracle's, and per
+        # functional a quantile table for each shard, the combination and the oracle
+        K = 1 if self.mode == "full-oracle" else self.K
+        check_count((K + 1) * self.chain.retained * self.model.parameter_dim
+                    + len(self.functionals) * (K + 2) * self.grid_size, "draws and table "
+                    "values one seed holds (lower K, chain.T_total or grid_size)")
 
     def echo(self) -> dict:
         """Plain-data view of the configuration, for the report echo."""
-        h = {}
-        for key, value in self.model.hyperparameters.items():
-            h[key] = value.tolist() if isinstance(value, np.ndarray) else value
-        return {
-            "model": {"family": self.model.family, "hyperparameters": h,
-                      "parameter_dim": self.model.parameter_dim},
-            "n": self.n,
-            "K": self.K,
-            "chain": {"T_total": self.chain.T_total,
-                      "burn_fraction": self.chain.burn_fraction,
-                      "thin": self.chain.thin,
-                      "proposal_scale": self.chain.proposal_scale},
-            "functionals": [{"a": f.a.tolist(), "b": f.b} for f in self.functionals],
-            "alpha_levels": list(self.alpha_levels),
-            "grid_size": self.grid_size,
-            "seeds": list(self.seeds),
-            "mode": self.mode,
-            "sampler": self.sampler,
-            "data": {"source": self.data_source, "path": self.data_path,
-                     "true_theta": self.true_theta},
-            "output_dir": self.output_dir,
-        }
+        h = {key: _plain(value) for key, value in self.model.hyperparameters.items()}
+        out = {"model": {"family": self.model.family, "hyperparameters": h,
+                         "parameter_dim": self.model.parameter_dim}}
+        for key, (name, _) in KEYS.items():
+            section, _, leaf = key.rpartition(".")
+            value = _plain(getattr(self.chain if section == "chain" else self, name))
+            (out.setdefault(section, {}) if section else out)[leaf] = value
+        return out
 
 
-def _build_model(raw: dict, data: dict) -> ModelSpec:
-    name = raw.get("family")
-    family = CONJUGATE.get(name) if isinstance(name, str) else None
-    if family is None:
-        raise ConfigError(f"model.family must be one of {tuple(CONJUGATE)}, got {name!r}")
-    hyper, dim = family.config(raw, data)
-    return ModelSpec(family=name, hyperparameters=hyper, parameter_dim=dim)
+def _plain(value):
+    """``value`` as YAML-ready plain data."""
+    if isinstance(value, LinearFunctional):
+        return {"a": value.a.tolist(), "b": value.b}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value.tolist() if isinstance(value, np.ndarray) else value
 
 
-def _section(raw: dict, key: str) -> dict:
-    value = raw.get(key) or {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"config key '{key}' must be a mapping")
+def _list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"not a list: {value!r}")
     return value
+
+
+def _yaml(text: str, what: str):
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{what} is not valid YAML: {exc}") from None
+
+
+KEYS = {
+    "n": ("n", whole),
+    "K": ("K", whole),
+    # no functionals, or an empty list, leaves the default: every coordinate
+    "functionals": ("functionals",
+                    lambda v: [LinearFunctional(**f) for f in _list(v or [])] or None),
+    "alpha_levels": ("alpha_levels", lambda v: [float(a) for a in _list(v)]),
+    "grid_size": ("grid_size", whole),
+    "seeds": ("seeds", lambda v: [whole(s) for s in _list(v)]),
+    "mode": ("mode", str),
+    "sampler": ("sampler", str),
+    "output_dir": ("output_dir", str),
+    "data.source": ("data_source", str),
+    "data.path": ("data_path", lambda v: None if v is None else str(v)),
+    "data.true_theta": ("true_theta", lambda v: None if v is None else float(v)),
+    "chain.T_total": ("T_total", whole),
+    "chain.burn_fraction": ("burn_fraction", float),
+    "chain.thin": ("thin", whole),
+    # ChainConfig reads 'auto' or a number
+    "chain.proposal_scale": ("proposal_scale", lambda v: v),
+}
 
 
 def _set_dotted(raw: dict, dotted: str, value):
@@ -134,7 +168,7 @@ def _set_dotted(raw: dict, dotted: str, value):
         node = node.setdefault(key, {})
         if not isinstance(node, dict):
             raise ConfigError(f"cannot override through non-mapping key '{key}'")
-    node[keys[-1]] = yaml.safe_load(value) if isinstance(value, str) else value
+    node[keys[-1]] = _yaml(value, f"value for {dotted}") if isinstance(value, str) else value
 
 
 def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
@@ -142,7 +176,8 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
 
     ``overrides`` maps dotted keys (``"model.a"``, ``"chain.thin"``) to
     values; string values are parsed as YAML scalars so CLI flags can
-    override any config key.
+    override any config key.  A key that neither ``KEYS`` nor the model
+    family reads is a ConfigError.
     """
     raw: dict = {}
     if path is not None:
@@ -150,61 +185,46 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
             text = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
-        try:
-            loaded = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"config {path} is not valid YAML: {exc}") from None
-        if loaded is None:
-            loaded = {}
-        if not isinstance(loaded, dict):
+        raw = _yaml(text, f"config {path}")
+        raw = {} if raw is None else raw
+        if not isinstance(raw, dict):
             raise ConfigError(f"config {path} must be a mapping")
-        raw = loaded
     for key, value in (overrides or {}).items():
         _set_dotted(raw, key, value)
+    # each section's keys become dotted keys
+    flat = {key: value for key, value in raw.items() if key not in SECTIONS}
+    for section in SECTIONS:
+        value = raw.get(section) or {}
+        if not isinstance(value, dict):
+            raise ConfigError(f"config key '{section}' must be a mapping")
+        flat.update((f"{section}.{key}", v) for key, v in value.items())
+    known = list(KEYS)
 
-    data = _section(raw, "data")
-    model = _build_model(_section(raw, "model"), data)
+    def take(key, default=None):
+        known.append(key)
+        return flat.pop(key, default)
 
-    chain_raw = _section(raw, "chain")
-    chain = ChainConfig(
-        T_total=coerce(chain_raw.get("T_total", 10000), whole, "chain.T_total"),
-        burn_fraction=coerce(chain_raw.get("burn_fraction", 0.5), float,
-                             "chain.burn_fraction"),
-        thin=coerce(chain_raw.get("thin", 5), whole, "chain.thin"),
-        proposal_scale=chain_raw.get("proposal_scale", "auto"),
-    )
+    name = take("model.family")
+    family = CONJUGATE.get(name) if isinstance(name, str) else None
+    if family is None:
+        raise ConfigError(f"model.family must be one of {tuple(CONJUGATE)}, got {name!r}")
+    hyper, dim = family.config(take)
+    model = ModelSpec(family=name, hyperparameters=hyper, parameter_dim=dim)
 
-    functionals_raw = raw.get("functionals")
-    if functionals_raw:
-        if not isinstance(functionals_raw, list):
-            raise ConfigError("functionals must be a list")
-        functionals = []
-        for f in functionals_raw:
-            if not isinstance(f, dict) or "a" not in f:
-                raise ConfigError("each functional needs a weight vector 'a'")
-            functionals.append(LinearFunctional(a=f["a"], b=f.get("b", 0.0)))
-    else:
-        functionals = [LinearFunctional(a=row) for row in np.eye(model.parameter_dim)]
-
-    if "n" not in raw:
+    if "n" not in flat:
         raise ConfigError("config requires n")
-    true_theta = data.get("true_theta")
-    output_dir = raw.get("output_dir") or os.environ.get(OUTPUT_DIR_ENV) or "out"
-    return ExperimentConfig(
-        model=model,
-        n=coerce(raw["n"], whole, "n"),
-        K=coerce(raw.get("K", 1), whole, "K"),
-        chain=chain,
-        functionals=functionals,
-        alpha_levels=coerce(raw.get("alpha_levels", [0.1]),
-                            lambda v: [float(a) for a in v], "alpha_levels"),
-        grid_size=coerce(raw.get("grid_size", 999), whole, "grid_size"),
-        seeds=coerce(raw.get("seeds", [0]), lambda v: [whole(s) for s in v], "seeds"),
-        mode=raw.get("mode", "pie"),
-        sampler=raw.get("sampler", "exact"),
-        data_source=data.get("source", "simulate"),
-        data_path=None if data.get("path") is None else str(data["path"]),
-        true_theta=None if true_theta is None else coerce(true_theta, float,
-                                                          "data.true_theta"),
-        output_dir=str(output_dir),
-    )
+    # an empty output_dir falls back to the environment, then to the field default
+    flat["output_dir"] = (flat.pop("output_dir", None) or os.environ.get(OUTPUT_DIR_ENV)
+                          or ExperimentConfig.output_dir)
+    fields = {name: coerce(flat.pop(key), kind, key)
+              for key, (name, kind) in KEYS.items() if key in flat}
+    chain = {name: fields.pop(name) for key, (name, _) in KEYS.items()
+             if key.startswith("chain.") and name in fields}
+    if flat:
+        import difflib  # only on this path: every `pie` command pays for its imports
+
+        key = next(iter(flat))
+        close = difflib.get_close_matches(str(key), known, n=1)
+        hint = f"; did you mean '{close[0]}'?" if close else ""
+        raise ConfigError(f"unknown config key '{key}'{hint}")
+    return ExperimentConfig(model=model, chain=ChainConfig(**chain), **fields)

@@ -4,11 +4,11 @@ The exact samplers differ only in a tempered conjugate update: raising a
 shard's likelihood to the power ``temper`` = n / m_j multiplies the shard's
 additive sufficient statistics by ``temper`` before they meet the prior.
 One object per family below owns everything that depends on the family:
-hyperparameter validation and config defaults, the data support check, the
-sufficient statistics, the tempered update, exact draws from a given
-generator, the log kernel of the updated law, the prior mean, and the name
-of the simulation family its data come from.  ``custom-logdensity``, the
-one non-conjugate family, has no object here.
+hyperparameter validation, the config keys it reads and their defaults,
+the data support check, the sufficient statistics, the tempered update,
+exact draws from a given generator, the log kernel of the updated law, the
+prior mean, and the name of the simulation family its data come from.
+``custom-logdensity``, the one non-conjugate family, has no object here.
 
 The tempered posterior is stated once, as the update.  The function a
 Metropolis chain evaluates, ``_Family.log_kernel``, is the updated law's log
@@ -122,9 +122,10 @@ class _ScalarFamily(_Family):
             raise ConfigError(f"{self.name} has a scalar parameter")
         return {"a": a, "b": b}
 
-    def config(self, raw: dict, data: dict) -> tuple[dict, int]:
-        """Hyperparameters and parameter dimension from a config's sections."""
-        return {"a": raw.get("a", 1.0), "b": raw.get("b", 1.0)}, 1
+    def config(self, take) -> tuple[dict, int]:
+        """Hyperparameters and parameter dimension from a config: ``take(key,
+        default)`` removes a dotted key from it and returns its value."""
+        return {"a": take("model.a", 1.0), "b": take("model.b", 1.0)}, 1
 
     def check(self, h, y, Z=None):
         y = np.asarray(y, dtype=float).ravel()
@@ -257,19 +258,20 @@ class NormalLinearNIG(_Family):
             )
         return {"a": a, "b": b, "mu_star": read_only(mu), "omega": read_only(omega)}
 
-    def config(self, raw: dict, data: dict) -> tuple[dict, int]:
-        """Hyperparameters and parameter dimension from a config's sections."""
-        if data.get("p") is None:
+    def config(self, take) -> tuple[dict, int]:
+        """Hyperparameters and parameter dimension from a config, read as the
+        scalar families' are, plus ``data.p``."""
+        if (p := take("data.p")) is None:
             raise ConfigError("normal-linear-nig requires data.p")
-        p = coerce(data["p"], whole, "data.p")
+        p = coerce(p, whole, "data.p")
         if p < 1:
             raise ConfigError("data.p must be >= 1")
         check_count(p * p, "omega size data.p ** 2")
-        omega = raw.get("omega", 100.0)
+        omega = take("model.omega", 100.0)
         if np.isscalar(omega):
             omega = np.diag(np.full(p, coerce(omega, float, "model.omega")))
-        return {"a": raw.get("a", 6.0), "b": raw.get("b", 2.0),
-                "mu_star": raw.get("mu_star", [0.0] * p), "omega": omega}, p + 1
+        return {"a": take("model.a", 6.0), "b": take("model.b", 2.0),
+                "mu_star": take("model.mu_star", [0.0] * p), "omega": omega}, p + 1
 
     def check(self, h, y, Z):
         if Z is None:

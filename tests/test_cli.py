@@ -102,6 +102,15 @@ MALFORMED_OVERRIDES = [
     ["chain.T_total=1.0e+13"], ["grid_size=576460752303423488"], ["grid_size=100000001"],
     # 72.8 TiB of Poisson counts, a 7.28 TiB omega, a design past 10^8 entries
     ["n=1.0e+13"], [*LINEAR_OVERRIDES, "data.p=1000000"], [*LINEAR_OVERRIDES, "n=50000001"],
+    # a value that is not YAML, or that names a Python object
+    ["n=[1"], ["mode=!!python/name:os.system"],
+    # list keys take only a list, and a functional only the keys a and b
+    ["seeds='12'"], ["seeds={1: 2, 3: 4}"], ["alpha_levels={0.1: x}"],
+    ["functionals=[{a: [1], bb: 2}]"],
+    # keys nothing reads: misspellings, keys of no table, and normal-linear keys
+    # on the Poisson base config
+    ["chian.thin=2"], ["model.aa=3"], ["alpha_level=[0.5]"], ["chain.seed=4"], ["workers=2"],
+    ["model.omega=3"], ["data.p=5"],
 ]
 
 

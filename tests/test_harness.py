@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pie import (
     ChainConfig,
@@ -25,7 +27,9 @@ from pie import (
 )
 from pie import rng as pie_rng
 from pie.cli import main
+from pie.config import KEYS, SECTIONS
 from pie.data import read_json
+from pie.families import CONJUGATE
 from pie.runner import YAML_DUMPER, _sample_shard, _versions
 from oracles import SPECIAL_FLOATS as SPECIAL, gamma_quantile, reference_csv
 
@@ -140,6 +144,107 @@ class TestConfig:
                 log_likelihood=lambda t, d: 0.0,
                 log_prior=lambda t: 0.0,
             ))
+
+    def test_unknown_key_names_the_closest_known_key(self):
+        poisson = {"model.family": "poisson-gamma", "n": 100, "data.true_theta": 3.0}
+        linear = {"model.family": "normal-linear-nig", "n": 100, "data.p": 2}
+        for base, key, close in [(poisson, "model.aa", "model.a"),
+                                 (poisson, "alpha_level", "alpha_levels"),
+                                 (poisson, "chain.thni", "chain.thin"),
+                                 (linear, "model.mu_sta", "model.mu_star")]:
+            with pytest.raises(ConfigError, match=f"'{key}'; did you mean '{close}'"):
+                load_config(None, {**base, key: "1"})
+        # a key only another family reads, or that nothing reads, is refused too
+        for key in ("model.omega", "data.p", "workers"):
+            with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+                load_config(None, {**poisson, key: "3"})
+
+    def test_run_size_budget(self):
+        # (K + 1) * retained * dim draws plus functionals * (K + 2) * grid_size
+        # table values, at most 10^8; only loaded, as running them would
+        # allocate gigabytes
+        poisson = {"model.family": "poisson-gamma", "n": 2000, "K": 20,
+                   "data.true_theta": 3.0}
+        for big in ({"chain.T_total": "1.0e+8", "chain.thin": 1}, {"grid_size": 50_000_000}):
+            with pytest.raises(ConfigError, match="one seed holds"):
+                load_config(None, {**poisson, **big})
+        # full-oracle mode samples one shard
+        load_config(None, {**poisson, "grid_size": 10_000_000, "mode": "full-oracle"})
+        short = {"chain.T_total": 4, "chain.burn_fraction": 0, "chain.thin": 1}
+        # 2 * 5 draws + 3 tables of 33 333 330; then 3 * 4 * 2 draws + 2 * 4 * 12 499 997
+        at_bound = [({**poisson, "K": 1, **short, "chain.T_total": 5}, 33_333_330),
+                    ({"model.family": "normal-linear-nig", "data.p": 1, "n": 100, "K": 2,
+                      **short}, 12_499_997)]
+        for overrides, grid in at_bound:
+            assert load_config(None, {**overrides, "grid_size": grid}).grid_size == grid
+            with pytest.raises(ConfigError, match="one seed holds"):
+                load_config(None, {**overrides, "grid_size": grid + 1})
+
+    def test_readme_config_example(self, tmp_path):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        example = readme.split("A config file looks like:\n\n```yaml\n")[1].split("```")[0]
+        path = tmp_path / "cfg.yaml"
+        path.write_text(example, encoding="utf-8")
+        assert load_config(path).output_dir == "results"
+        raw = yaml.safe_load(example)
+        named = set(raw) | {f"{section}.{key}" for section in SECTIONS
+                            for key in raw.get(section, {})}
+        assert set(KEYS) - {"functionals"} <= named
+
+
+# YAML-shaped values: null, bools, huge ints, nan and infinities, strings, text
+# that is not YAML, and lists and maps of these; each string value is parsed
+# as YAML, as a --set value is
+NOT_YAML = ["[1", "{a", "!!python/name:os.system", "a: b: c", "'x", "@x", "*x", "&a [*a]",
+            "!!binary x", "1.0e+400", "-.inf", ".nan", "0x10", "~", "yes", "- [1"]
+YAML_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 60), st.integers(), st.floats(0, 1),
+              st.floats(), st.text(max_size=4), st.sampled_from(NOT_YAML)),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3),
+                                                                inner, max_size=3),
+    max_leaves=6)
+# values a key can take, so that some drawn configs load
+VALID_VALUES = st.one_of(
+    st.integers(1, 50), st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True),
+    st.sampled_from(["pie", "consensus", "multidim", "full-oracle", "exact", "metropolis",
+                     "simulate", "auto", 0.05, 0.25, [0.1, 0.5], 3.0, [[1.0, 0.0], [0.0, 2.0]]]))
+VALUES = {
+    "functionals": YAML_VALUES | st.lists(
+        st.fixed_dictionaries({"a": YAML_VALUES}, optional={"b": YAML_VALUES}), max_size=3),
+    # data.p stays small, so an accepted config allocates little
+    "data.p": st.one_of(st.integers(-1, 5), st.sampled_from([None, "x", "[1", 2.5, True, [2]])),
+}
+KNOWN_KEYS = sorted({*KEYS, "model.family", "model.a", "model.b", "model.mu_star",
+                     "model.omega", "data.p"})
+LEAF = st.text(max_size=6).filter(lambda text: "." not in text)
+UNKNOWN_KEYS = st.one_of(
+    LEAF.filter(lambda key: key not in SECTIONS),
+    st.builds("{}.{}".format, st.sampled_from(SECTIONS), LEAF),
+).filter(lambda key: key not in KNOWN_KEYS)
+
+
+class TestConfigFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(family=st.sampled_from(sorted(CONJUGATE)),
+           keys=st.lists(st.sampled_from(KNOWN_KEYS), max_size=4, unique=True),
+           unknown=st.just({}) | st.dictionaries(UNKNOWN_KEYS, YAML_VALUES, min_size=1,
+                                                 max_size=1),
+           data=st.data())
+    def test_load_config_returns_a_config_or_refuses(self, family, keys, unknown, data):
+        # a loadable config with up to four keys set to any value, and maybe a
+        # key nothing reads
+        overrides = {"model.family": family, "n": 200}
+        if CONJUGATE[family].regression:
+            overrides["data.p"] = 2
+        for key in keys:
+            overrides[key] = data.draw(VALUES.get(key, VALID_VALUES | YAML_VALUES), label=key)
+        try:
+            cfg = load_config(None, {**overrides, **unknown})
+        except ConfigError:
+            return
+        assert isinstance(cfg, ExperimentConfig)
+        assert not unknown
+        assert yaml.safe_load(yaml.safe_dump(cfg.echo())) == cfg.echo()
 
 
 class TestRunExperiment:
