@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -103,9 +104,11 @@ def run(config_path, assignments, mode, n, shards, seed, sampler, grid_size, out
         key, value = item.split("=", 1)
         overrides[key] = value
     flags = {"mode": mode, "n": n, "K": shards, "seeds": None if seed is None else [seed],
-             "sampler": sampler, "grid_size": grid_size, "output_dir": out}
+             "sampler": sampler, "grid_size": grid_size}
     overrides.update((key, value) for key, value in flags.items() if value is not None)
     cfg = load_config(config_path, overrides)
+    if out:  # a path as typed: YAML would read yes, 010, ~ or [a] as another type
+        cfg = replace(cfg, output_dir=out)
     report = run_experiment(cfg, workers=workers)
     paths = emit_report(report, cfg.output_dir, overwrite=overwrite)
     click.echo(f"wrote {len(paths)} files under {cfg.output_dir}")

@@ -84,13 +84,20 @@ def _require_shared_grid(first: QuantileTable, *others: QuantileTable):
         raise ConfigError("quantile tables use different grids")
 
 
-def empirical_quantile(draws_1d, u: float) -> float:
-    """Order statistic at 1-based index floor(T * u), clamped to [1, T].
+def _order_statistics(sorted_draws: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Rows of ``sorted_draws``, T draws sorted along axis 0, at the 1-based
+    index floor(T * u), clamped to [1, T], for each level u.
 
     The floor rule would yield index zero for small ``T * u``; clamping to
-    the minimum order statistic is the minimal consistent fix.  This is
-    ``quantile_table`` on the one-point grid ``[u]``.
+    the minimum order statistic is the minimal consistent fix.
     """
+    T = sorted_draws.shape[0]
+    return sorted_draws[np.clip(np.floor(T * levels).astype(int), 1, T) - 1]
+
+
+def empirical_quantile(draws_1d, u: float) -> float:
+    """Order statistic at 1-based index floor(T * u), clamped to [1, T]:
+    ``quantile_table`` on the one-point grid ``[u]``."""
     return float(quantile_table(draws_1d, [u]).values[0])
 
 
@@ -100,9 +107,7 @@ def quantile_table(draws_1d, grid=None) -> QuantileTable:
     if draws.size == 0:
         raise DataError("empty draws")
     g = default_grid() if grid is None else _as_grid(grid)
-    sorted_draws = np.sort(draws)
-    idx = np.clip(np.floor(draws.size * g).astype(int), 1, draws.size) - 1
-    return QuantileTable(grid=g, values=sorted_draws[idx])
+    return QuantileTable(grid=g, values=_order_statistics(np.sort(draws), g))
 
 
 def average_quantile_tables(tables: Sequence[QuantileTable]) -> QuantileTable:
@@ -182,11 +187,13 @@ def _sym_sqrt(M: np.ndarray) -> np.ndarray:
     return (U * np.sqrt(w)) @ U.T
 
 
-def _sym_inv_sqrt(M: np.ndarray, name: str) -> np.ndarray:
+def _sym_eigh(M: np.ndarray, what: str):
+    """Eigenvalues and eigenvectors of the symmetric part of ``M``; a
+    numerically singular ``M`` raises ``NumericError``."""
     w, U = np.linalg.eigh((M + M.T) / 2.0)
     if w.min() <= 1e-14 * max(w.max(), 1.0):
-        raise NumericError(f"singular matrix {name}")
-    return (U / np.sqrt(w)) @ U.T
+        raise NumericError(f"singular {what}")
+    return w, U
 
 
 def barycenter_residual(cov: np.ndarray, covs: Sequence[np.ndarray]) -> float:
@@ -226,7 +233,8 @@ def gaussian_barycenter(approxes: Sequence[GaussianApprox], tol: float = 1e-10,
         residual = float(np.linalg.norm(total - K * V, "fro"))
         if residual < tol:
             return GaussianApprox(mean=mean, cov=V)
-        inv_root = _sym_inv_sqrt(V, "barycenter iterate")
+        w, U = _sym_eigh(V, "matrix barycenter iterate")
+        inv_root = (U / np.sqrt(w)) @ U.T
         avg = total / K
         V = inv_root @ (avg @ avg) @ inv_root
         V = (V + V.T) / 2.0

@@ -131,6 +131,13 @@ def _list(value) -> list:
     return value
 
 
+def _path(value) -> Optional[str]:
+    # YAML reads an unquoted yes, 010, ~ or [a] as a bool, an int, null or a list
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"a path must be a string, got {value!r}: quote it")
+    return value
+
+
 def _yaml(text: str, what: str):
     try:
         return yaml.safe_load(text)
@@ -149,9 +156,9 @@ KEYS = {
     "seeds": ("seeds", lambda v: [whole(s) for s in _list(v)]),
     "mode": ("mode", str),
     "sampler": ("sampler", str),
-    "output_dir": ("output_dir", str),
+    "output_dir": ("output_dir", _path),
     "data.source": ("data_source", str),
-    "data.path": ("data_path", lambda v: None if v is None else str(v)),
+    "data.path": ("data_path", _path),
     "data.true_theta": ("true_theta", lambda v: None if v is None else float(v)),
     "chain.T_total": ("T_total", whole),
     "chain.burn_fraction": ("burn_fraction", float),
@@ -213,9 +220,9 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
 
     if "n" not in flat:
         raise ConfigError("config requires n")
-    # an empty output_dir falls back to the environment, then to the field default
-    flat["output_dir"] = (flat.pop("output_dir", None) or os.environ.get(OUTPUT_DIR_ENV)
-                          or ExperimentConfig.output_dir)
+    # a null or empty output_dir falls back to the environment, then to the field default
+    if flat.get("output_dir") in (None, ""):
+        flat["output_dir"] = os.environ.get(OUTPUT_DIR_ENV) or ExperimentConfig.output_dir
     fields = {name: coerce(flat.pop(key), kind, key)
               for key, (name, kind) in KEYS.items() if key in flat}
     chain = {name: fields.pop(name) for key, (name, _) in KEYS.items()

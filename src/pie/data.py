@@ -27,14 +27,12 @@ def simulate_univariate(family: str, theta0: float, n: int, seed: int) -> Observ
     if not math.isfinite(theta0):
         raise ConfigError(f"simulation parameter must be finite, got {theta0!r}")
     g = rng.stream(rng.SIMULATE, seed)
+    if family in ("poisson", "exponential") and theta0 <= 0:
+        raise ConfigError(f"{family} rate must be positive")
     try:
         if family == "poisson":
-            if theta0 <= 0:
-                raise ConfigError("poisson rate must be positive")
             y = g.poisson(theta0, n).astype(float)
         elif family == "exponential":
-            if theta0 <= 0:
-                raise ConfigError("exponential rate must be positive")
             y = g.exponential(1.0 / theta0, n)
         elif family == "bernoulli":
             if not 0.0 <= theta0 <= 1.0:
@@ -112,11 +110,11 @@ def _read_table(path, expected_header=None,
         if len(row) != len(header):
             raise DataError(f"{path}: line {lineno}: expected {len(header)} fields, "
                             f"got {len(row)}")
-        try:
-            values[lineno - 2] = [float(cell) for cell in row[text_columns:]]
-        except ValueError:
-            bad = next(c for c in row[text_columns:] if not _is_float(c))
-            raise DataError(f"{path}: line {lineno}: non-numeric value '{bad}'") from None
+        for column, cell in enumerate(row[text_columns:]):
+            try:
+                values[lineno - 2, column] = float(cell)
+            except ValueError:
+                raise DataError(f"{path}: line {lineno}: non-numeric value '{cell}'") from None
     bad_rows = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if bad_rows.size:
         raise DataError(f"{path}: line {bad_rows[0] + 2}: non-finite value")
@@ -151,14 +149,6 @@ def _parse_body(lines: list, width: int):
         return None
     whole = values.shape == (len(lines), width) and np.isfinite(values).all()
     return values if whole else None
-
-
-def _is_float(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
 
 
 def format_numbers(column) -> list:

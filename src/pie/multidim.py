@@ -20,12 +20,13 @@ from .combine import (
     QuantileTable,
     _as_grid,
     _inverse_covariance,
-    average_quantile_tables,
+    _order_statistics,
+    _sym_eigh,
     default_grid,
     quantile_table,
     sample_from_table,
 )
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError
 from .families import float_array, read_only
 from .samplers import DrawMatrix
 
@@ -72,10 +73,7 @@ def pooled_center_scale(
     inverses = [_inverse_covariance(dm.values) for dm in subset_draws]
     mean = np.mean(np.stack(means), axis=0)
     pooled_inv = np.mean(np.stack(inverses), axis=0)
-    pooled_inv = (pooled_inv + pooled_inv.T) / 2.0
-    w, U = np.linalg.eigh(pooled_inv)
-    if w.min() <= 1e-14 * max(w.max(), 1.0):
-        raise NumericError("singular pooled covariance")
+    w, U = _sym_eigh(pooled_inv, "pooled covariance")
     cov = (U / w) @ U.T
     cov_sqrt = (U / np.sqrt(w)) @ U.T
     cov_inv_sqrt = (U * np.sqrt(w)) @ U.T
@@ -105,13 +103,14 @@ def combine_multidim(subset_draws: Sequence[DrawMatrix], grid=None,
         T_out = whitened[0].T
     if T_out < 1:
         raise ConfigError("T_out must be >= 1")
-    d = whitened[0].d
-    out = np.empty((T_out, d))
-    for c in range(d):
-        tables = [quantile_table(dm.values[:, c], g) for dm in whitened]
-        combined = average_quantile_tables(tables)
+    # every coordinate's quantiles averaged in shard order: a G x d block
+    blocks = [_order_statistics(np.sort(dm.values, axis=0), g) for dm in whitened]
+    combined = np.mean(np.stack(blocks), axis=0)
+    out = np.empty((T_out, whitened[0].d))
+    for c in range(out.shape[1]):
+        table = QuantileTable(grid=g, values=combined[:, c])
         stream = rng.stream(rng.RESAMPLE, seed, c)
-        out[:, c] = sample_from_table(combined, T_out, stream)
+        out[:, c] = sample_from_table(table, T_out, stream)
     return DrawMatrix(transform.unwhiten(out))
 
 

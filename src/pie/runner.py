@@ -22,7 +22,13 @@ import numpy as np
 import yaml
 
 from . import __version__, rng
-from .combine import (
+# perfbench/tracing.py patches average_quantile_tables, pie_interval and
+# quantile_table on this module, so they stay bound here though _run_seed
+# reads every quantile off _order_statistics
+from .combine import (  # noqa: F401
+    IntervalEstimate,
+    QuantileTable,
+    _order_statistics,
     average_quantile_tables,
     default_grid,
     consensus_combine,
@@ -165,8 +171,18 @@ def _lap(timings: dict, phase: str, t0: float) -> float:
     return now
 
 
+def _quantile_rows(functionals: list, dm: DrawMatrix, levels: np.ndarray):
+    """Each functional's values on the draws, as unsorted columns, and their
+    quantiles at ``levels``, read off one T x F block sorted once."""
+    columns = [apply_functional(functional, dm) for functional in functionals]
+    return columns, _order_statistics(np.sort(np.column_stack(columns), axis=0), levels)
+
+
 def _run_seed(cfg: ExperimentConfig, master_seed: int, timings: dict) -> SeedResult:
     grid = default_grid(cfg.grid_size)
+    # every source's quantiles are read at the grid, then at (alpha/2, 1 - alpha/2)
+    # for each alpha: its table rows first, its interval ends after them
+    levels = np.concatenate([grid, *([a / 2.0, 1.0 - a / 2.0] for a in cfg.alpha_levels)])
     K = 1 if cfg.mode == "full-oracle" else cfg.K
     t0 = time.perf_counter()
     obs = _dataset(cfg, master_seed)
@@ -176,52 +192,49 @@ def _run_seed(cfg: ExperimentConfig, master_seed: int, timings: dict) -> SeedRes
     shard_draws = _sample_all_shards(cfg, obs, plan, master_seed)
     t0 = _lap(timings, "sample", t0)
 
+    rows = {f"shard{j}": _quantile_rows(cfg.functionals, dm, levels)[1]
+            for j, dm in enumerate(shard_draws)}
     combined_dm = None
     if cfg.mode == "consensus":
         combined_dm = consensus_combine(shard_draws)
     elif cfg.mode == "multidim":
         combined_dm = combine_multidim(shard_draws, grid, seed=master_seed)
-
-    tables: dict = {}
+    if combined_dm is None:
+        # the barycenter: the shards' quantile functions averaged in shard order
+        rows["combined"] = np.mean(np.stack(list(rows.values())), axis=0)
+    else:
+        combined_xi, rows["combined"] = _quantile_rows(cfg.functionals, combined_dm, levels)
+    tables = {f"f{i}": {source: QuantileTable(grid=grid, values=r[:grid.size, i])
+                        for source, r in rows.items()}
+              for i in range(len(cfg.functionals))}
+    ends = rows["combined"][grid.size:].reshape(-1, 2, len(tables))
     intervals: list = []
-    for i, functional in enumerate(cfg.functionals):
-        name = f"f{i}"
-        shard_xi = [apply_functional(functional, dm) for dm in shard_draws]
-        per_source = {
-            f"shard{j}": quantile_table(xi, grid) for j, xi in enumerate(shard_xi)
-        }
-        if combined_dm is None:
-            per_source["combined"] = average_quantile_tables(list(per_source.values()))
-            interval_xi = shard_xi
-        else:
-            interval_xi = [apply_functional(functional, combined_dm)]
-            per_source["combined"] = quantile_table(interval_xi[0], grid)
-        for alpha in cfg.alpha_levels:
-            est = pie_interval(interval_xi, alpha)
+    for i, name in enumerate(tables):
+        for alpha, (lower, upper) in zip(cfg.alpha_levels, ends[:, :, i]):
+            est = IntervalEstimate(alpha=alpha, lower=float(lower), upper=float(upper))
             intervals.append({"functional": name, "alpha": alpha,
                               "lower": est.lower, "upper": est.upper})
-        tables[name] = per_source
     t0 = _lap(timings, "combine", t0)
 
     oracle = _exact_draws(cfg, obs, 1.0, cfg.chain.retained,
                           rng.oracle_seed(master_seed))
+    oracle_xi, oracle_rows = _quantile_rows(cfg.functionals, oracle, levels)
     cells = []
     for idx, (name, functional) in enumerate(zip(tables, cfg.functionals)):
         combined_table = tables[name]["combined"]
-        oracle_xi = apply_functional(functional, oracle)
-        oracle_table = quantile_table(oracle_xi, grid)
+        oracle_table = QuantileTable(grid=grid, values=oracle_rows[:grid.size, idx])
         if combined_dm is None:
             stream = rng.stream(rng.METRICS, master_seed, idx)
             combined_samples = sample_from_table(combined_table, oracle.T, stream)
         else:
-            combined_samples = apply_functional(functional, combined_dm)
+            combined_samples = combined_xi[idx]
         mean, variance = table_moments(combined_table)
         xi0 = _true_xi(cfg, obs, functional)
         cells.append({
             "seed": master_seed,
             "functional": name,
             "w2": w2_from_tables(combined_table, oracle_table),
-            "accuracy": accuracy(combined_samples, oracle_xi),
+            "accuracy": accuracy(combined_samples, oracle_xi[idx]),
             "bias": None if xi0 is None else mean - xi0,
             "variance": variance,
             "quantile_gap": quantile_gap(combined_table, oracle_table, 0.05, 0.95),

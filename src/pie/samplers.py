@@ -177,17 +177,18 @@ def sample_metropolis(target: TemperedTarget, init, cfg: ChainConfig,
     n_post = cfg.T_total - n_burn
     g = rng.stream(rng.CHAIN, cfg.seed)
 
-    def run_phase(n_steps, adapt):
+    def run_phase(n_steps, adapt, keep):
+        """Run ``n_steps`` steps; return every ``cfg.thin``-th state if
+        ``keep``, and the number of accepted proposals."""
         nonlocal state, lp, scale
         states = []
         accepted = 0
-        done = 0
-        batch = 0
-        while done < n_steps:
+        for batch, done in enumerate(range(0, n_steps, _ADAPT_BATCH), start=1):
             block = min(_ADAPT_BATCH, n_steps - done)
             jumps = scale * g.standard_normal((block, d))
             logu = np.log(g.random(block)).tolist()
             acc_block = 0
+            walk = []
             if d == 1:
                 for jump, log_u in zip(jumps.ravel().tolist(), logu):
                     prop = state + jump
@@ -195,7 +196,7 @@ def sample_metropolis(target: TemperedTarget, init, cfg: ChainConfig,
                     if log_u < lp_prop - lp:
                         state, lp = prop, lp_prop
                         acc_block += 1
-                    states.append(state)
+                    walk.append(state)
             else:
                 for jump, log_u in zip(jumps, logu):
                     prop = state + jump
@@ -203,18 +204,17 @@ def sample_metropolis(target: TemperedTarget, init, cfg: ChainConfig,
                     if log_u < lp_prop - lp:
                         state, lp = prop, lp_prop
                         acc_block += 1
-                    states.append(state)
-            done += block
+                    walk.append(state)
+            if keep:
+                # the steps done + i + 1 of this block that are multiples of thin
+                states += walk[(-done - 1) % cfg.thin::cfg.thin]
             accepted += acc_block
-            batch += 1
             if adapt:
                 # damped log-scale update toward the target acceptance rate
                 step = min(0.5, 1.0 / math.sqrt(batch))
                 scale *= math.exp(step * (acc_block / block - _TARGET_ACCEPT))
         return states, accepted
 
-    if n_burn:
-        run_phase(n_burn, adapt=auto)
-    states, accepted = run_phase(n_post, adapt=False)
-    return DrawMatrix(states[cfg.thin - 1::cfg.thin], shard_id=shard_id,
-                      accept_rate=accepted / n_post)
+    run_phase(n_burn, adapt=auto, keep=False)
+    states, accepted = run_phase(n_post, adapt=False, keep=True)
+    return DrawMatrix(states, shard_id=shard_id, accept_rate=accepted / n_post)

@@ -84,6 +84,18 @@ def test_output_dir_env_var(tmp_path, monkeypatch):
     assert (tmp_path / "cfg-run" / "metrics.json").exists()
 
 
+def test_out_is_a_path_as_typed(tmp_path, monkeypatch):
+    # YAML would read these as a bool, an octal int, null, null and a list
+    cfg = write_config(tmp_path / "cfg.yaml")
+    monkeypatch.delenv("PIE_OUT_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    for name in ("yes", "010", "null", "~", "[a]"):
+        result = CliRunner().invoke(main, ["run", "--config", str(cfg), "--out", name])
+        assert result.exit_code == 0, (name, result.output)
+        assert (tmp_path / name / "metrics.json").exists(), name
+    assert not (tmp_path / "out").exists()
+
+
 LINEAR_OVERRIDES = ["model.family=normal-linear-nig", "model.a=6", "data.p=2"]
 MALFORMED_OVERRIDES = [
     ["model.a=abc"], ["model.a=[1,2]"], ["K=abc"], ["seeds=[a]"], ["alpha_levels=abc"],
@@ -111,6 +123,8 @@ MALFORMED_OVERRIDES = [
     # on the Poisson base config
     ["chian.thin=2"], ["model.aa=3"], ["alpha_level=[0.5]"], ["chain.seed=4"], ["workers=2"],
     ["model.omega=3"], ["data.p=5"],
+    # a path key takes only a string: quote a path YAML reads as another type
+    ["output_dir={a: 1}"], ["data.path={x: 1}"], ["data.source=csv", "data.path=[1, 2]"],
 ]
 
 

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,11 +20,24 @@ from pie import (
     ModelSpec,
     QuantileTable,
     SeedResult,
+    accuracy,
+    apply_functional,
+    average_quantile_tables,
+    combine_multidim,
+    consensus_combine,
+    default_grid,
     emit_report,
     load_config,
     partition,
+    pie_interval,
+    quantile_gap,
+    quantile_table,
     run_experiment,
+    sample_from_table,
+    sample_normal_linear_nig,
     sample_poisson_gamma,
+    simulate_linear,
+    w2_from_tables,
 )
 from pie import rng as pie_rng
 from pie.cli import main
@@ -324,6 +338,71 @@ class TestRunExperiment:
             assert result.combined_draws is not None
             assert "combined" in result.tables["f0"]
 
+    @pytest.mark.parametrize("mode", ["pie", "consensus", "multidim"])
+    def test_one_seed_rebuilt_by_the_public_calls(self, mode):
+        # a seed's tables, intervals and oracle-scored cells rebuilt from its
+        # shard draws, one functional and one alpha at a time, keep every bit;
+        # the functionals are not coordinates and the alphas are off the grid
+        seed, alphas = 5, [0.0123, 0.1, 0.333]
+        cfg = load_config(None, {
+            "model.family": "normal-linear-nig", "data.p": 3, "n": 900, "K": 3,
+            "seeds": [seed], "grid_size": 99, "alpha_levels": alphas, "mode": mode,
+            "functionals": [{"a": [0.3, -1.7, 2.2, 0.01], "b": 0.37},
+                            {"a": [-0.05, 0.0, 1.1, -2.5], "b": -4.25}]})
+        result = run_experiment(cfg).seed_results[0]
+
+        h, grid = cfg.model.hyperparameters, default_grid(99)
+        obs, plan = simulate_linear(900, 3, seed), partition(900, 3, seed)
+
+        def draws(data, temper, stream_seed):
+            return sample_normal_linear_nig(data.responses, data.design, temper,
+                                            h["mu_star"], h["omega"], h["a"], h["b"],
+                                            cfg.chain.retained, stream_seed)
+
+        shards = [draws(obs.take(plan.shard_indices(j)), 900 / plan.shard_sizes[j],
+                        pie_rng.shard_seed(seed, j)) for j in range(3)]
+        oracle = draws(obs, 1.0, pie_rng.oracle_seed(seed))
+        combined = None
+        if mode == "consensus":
+            combined = consensus_combine(shards)
+        elif mode == "multidim":
+            combined = combine_multidim(shards, grid, seed=seed)
+
+        def bits(values) -> list:
+            return [float(v).hex() for v in np.ravel(values)]
+
+        if combined is not None:
+            assert bits(result.combined_draws) == bits(combined.values)
+
+        intervals, cells = [], []
+        for i, functional in enumerate(cfg.functionals):
+            shard_xi = [apply_functional(functional, dm) for dm in shards]
+            tables = {f"shard{j}": quantile_table(xi, grid) for j, xi in enumerate(shard_xi)}
+            if combined is None:
+                tables["combined"] = average_quantile_tables(list(tables.values()))
+                interval_xi = shard_xi
+                stream = pie_rng.stream(pie_rng.METRICS, seed, i)
+                samples = sample_from_table(tables["combined"], oracle.T, stream)
+            else:
+                samples = apply_functional(functional, combined)
+                tables["combined"] = quantile_table(samples, grid)
+                interval_xi = [samples]
+            got = result.tables[f"f{i}"]
+            assert list(got) == list(tables)
+            assert all(bits(got[s].values) == bits(tables[s].values) for s in tables)
+            for alpha in alphas:
+                est = pie_interval(interval_xi, alpha)
+                intervals.append([f"f{i}", alpha, *bits([est.lower, est.upper])])
+            oracle_xi = apply_functional(functional, oracle)
+            oracle_table = quantile_table(oracle_xi, grid)
+            cells.append(bits([w2_from_tables(tables["combined"], oracle_table),
+                               accuracy(samples, oracle_xi),
+                               quantile_gap(tables["combined"], oracle_table, 0.05, 0.95)]))
+        assert [[e["functional"], e["alpha"], *bits([e["lower"], e["upper"]])]
+                for e in result.intervals] == intervals
+        assert [bits([c["w2"], c["accuracy"], c["quantile_gap"]])
+                for c in result.cells] == cells
+
     def test_aggregated_shard_failure_names_shards(self):
         # poisson counts with an exponential-gamma model: every shard fails the
         # family's support check, on the exact and the Metropolis path alike
@@ -387,6 +466,25 @@ class TestRunExperiment:
             intervals = report.seed_results[0].intervals
             assert len(intervals) == 8
             assert all(e["lower"] <= e["upper"] for e in intervals), name
+
+
+def test_perfbench_tracer_finds_every_name_it_patches(monkeypatch):
+    # perfbench/tracing.py wraps functions by name on pie.runner, so a name the
+    # runner stops binding breaks only a traced benchmark run
+    import pie
+
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    originals = {name: pie.runner.__dict__.get(name) for name in tracing.RUNNER_NAMES}
+    assert all(callable(fn) for fn in originals.values()), originals
+    tracer = tracing.Tracer(pie)
+    tracer.install()
+    try:
+        assert all(getattr(pie.runner, name) is not fn for name, fn in originals.items())
+    finally:
+        tracer.uninstall()
+    assert all(getattr(pie.runner, name) is fn for name, fn in originals.items())
 
 
 def reference_seed_files(result) -> dict:

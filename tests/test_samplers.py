@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,6 +263,19 @@ class TestMetropolis:
                     assert sample_metropolis(target, [1.0], cfg).T == cfg.retained == kept
         # burn-in discards 18 of 20 steps, so 2 draws remain
         assert ChainConfig(T_total=20, burn_fraction=0.9, thin=1).retained == 2
+
+    def test_holds_only_the_states_it_returns(self):
+        # 20000 steps, 10 returned states: a chain that appended every step
+        # would hold 10000 states and their floats, over 100 KB
+        cfg = ChainConfig(T_total=20000, thin=1000, seed=5)
+        tracemalloc.start()
+        try:
+            dm = sample_metropolis(self.gamma_target(), [1.0], cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dm.T == 10
+        assert peak < 32 * 1024
 
     def test_numeric_proposal_scale(self):
         scale = ChainConfig(proposal_scale="0.05").proposal_scale

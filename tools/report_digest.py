@@ -3,7 +3,7 @@
 
     python3 tools/report_digest.py --seeds 1 2 --workers 1 2 > digest.txt
 
-Runs each configuration of ``perfbench/workloads.py``, and the seven of
+Runs each configuration of ``perfbench/workloads.py``, and the nine of
 ``EXTRA_CONFIGS`` below that cover what those leave out, once per master
 seed and worker count, with the three calls `pie run` makes
 (`load_config`, `run_experiment`, `emit_report`), using the package in
@@ -12,8 +12,9 @@ under fixed relative paths, so the config echo in ``config.yaml`` is the
 same in every checkout and compares too.  The output is one
 ``sha256  relative/path`` line per report file, ``timings.json``
 excepted, plus one for each CSV input written for a configuration that
-reads one: 186 lines for the arguments above.  Comparing two checkouts'
-reports is then one ``diff`` of their outputs.
+reads one: 222 lines for the arguments above, the first 186 of them from
+the configurations before the two with general functionals.  Comparing two
+checkouts' reports is then one ``diff`` of their outputs.
 """
 
 from __future__ import annotations
@@ -33,6 +34,11 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import pie  # noqa: E402
 from workloads import LINEAR_MODEL, WORKLOADS  # noqa: E402
 
+GENERAL = {"model": dict(LINEAR_MODEL), "data": {"source": "simulate", "p": 3},
+           "n": 2000, "K": 4, "sampler": "exact",
+           "functionals": [{"a": [0.3, -1.7, 2.2, 0.01], "b": 0.37},
+                           {"a": [-0.05, 0.0, 1.1, -2.5], "b": -4.25}],
+           "alpha_levels": [0.0123, 0.1, 0.333]}
 BERNOULLI = {"model": {"family": "bernoulli-beta", "a": 1.0, "b": 1.0},
              "data": {"source": "simulate", "true_theta": 0.3}}
 
@@ -64,6 +70,9 @@ EXTRA_CONFIGS = {
         "model": {"family": "exponential-gamma", "a": 1.0, "b": 1.0},
         "data": {"source": "simulate", "true_theta": 1.0e-6},
         "n": 2000, "K": 4, "sampler": "exact", "mode": "pie"},
+    # functionals that are not coordinates, and alpha levels off the quantile grid
+    "linear-general-pie": dict(GENERAL, mode="pie"),
+    "linear-general-consensus": dict(GENERAL, mode="consensus"),
 }
 
 
