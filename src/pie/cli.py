@@ -135,10 +135,11 @@ def combine(draw_files, column, grid_size, alpha, out):
         shard_xi.append(draws[:, column - 1])
     tables = [quantile_table(xi, grid) for xi in shard_xi]
     combined = average_quantile_tables(tables)
+    # the interval is checked before the table is written: a failed call writes nothing
+    est = None if alpha is None else pie_interval(shard_xi, alpha)
     write_quantile_table(combined, out)
     click.echo(f"combined {len(tables)} shards into {out}")
-    if alpha is not None:
-        est = pie_interval(shard_xi, alpha)
+    if est is not None:
         click.echo(json.dumps({"alpha": est.alpha, "lower": est.lower,
                                "upper": est.upper}))
 

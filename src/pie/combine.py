@@ -196,13 +196,17 @@ def _sym_eigh(M: np.ndarray, what: str):
     return w, U
 
 
+def _fixed_point_sum(cov: np.ndarray, covs: Sequence[np.ndarray]):
+    """``sum_j (V^{1/2} C_j V^{1/2})^{1/2}`` at V = ``cov``, and the Frobenius
+    norm of its defect from ``K V``."""
+    root = _sym_sqrt(cov)
+    total = sum(_sym_sqrt(root @ c @ root) for c in covs)
+    return total, float(np.linalg.norm(total - len(covs) * cov, "fro"))
+
+
 def barycenter_residual(cov: np.ndarray, covs: Sequence[np.ndarray]) -> float:
     """Frobenius norm of the Gaussian barycenter fixed-point defect."""
-    root = _sym_sqrt(cov)
-    total = np.zeros_like(cov)
-    for c in covs:
-        total += _sym_sqrt(root @ c @ root)
-    return float(np.linalg.norm(total - len(covs) * cov, "fro"))
+    return _fixed_point_sum(cov, covs)[1]
 
 
 def gaussian_barycenter(approxes: Sequence[GaussianApprox], tol: float = 1e-10,
@@ -227,10 +231,7 @@ def gaussian_barycenter(approxes: Sequence[GaussianApprox], tol: float = 1e-10,
     V = np.mean(np.stack(covs), axis=0)
     residual = np.inf
     for _ in range(max_iter + 1):
-        root = _sym_sqrt(V)
-        mids = [_sym_sqrt(root @ c @ root) for c in covs]
-        total = sum(mids)
-        residual = float(np.linalg.norm(total - K * V, "fro"))
+        total, residual = _fixed_point_sum(V, covs)
         if residual < tol:
             return GaussianApprox(mean=mean, cov=V)
         w, U = _sym_eigh(V, "matrix barycenter iterate")

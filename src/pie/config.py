@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from .errors import ConfigError, check_count, coerce, whole
+from .errors import ConfigError, check_count, coerce, real, whole
 from .families import CONJUGATE
 from .models import LinearFunctional, ModelSpec
 from .samplers import ChainConfig
@@ -151,7 +151,7 @@ KEYS = {
     # no functionals, or an empty list, leaves the default: every coordinate
     "functionals": ("functionals",
                     lambda v: [LinearFunctional(**f) for f in _list(v or [])] or None),
-    "alpha_levels": ("alpha_levels", lambda v: [float(a) for a in _list(v)]),
+    "alpha_levels": ("alpha_levels", lambda v: [real(a) for a in _list(v)]),
     "grid_size": ("grid_size", whole),
     "seeds": ("seeds", lambda v: [whole(s) for s in _list(v)]),
     "mode": ("mode", str),
@@ -159,9 +159,9 @@ KEYS = {
     "output_dir": ("output_dir", _path),
     "data.source": ("data_source", str),
     "data.path": ("data_path", _path),
-    "data.true_theta": ("true_theta", lambda v: None if v is None else float(v)),
+    "data.true_theta": ("true_theta", lambda v: None if v is None else real(v)),
     "chain.T_total": ("T_total", whole),
-    "chain.burn_fraction": ("burn_fraction", float),
+    "chain.burn_fraction": ("burn_fraction", real),
     "chain.thin": ("thin", whole),
     # ChainConfig reads 'auto' or a number
     "chain.proposal_scale": ("proposal_scale", lambda v: v),

@@ -18,6 +18,7 @@ import numpy as np
 from . import rng
 from .combine import QuantileTable
 from .errors import ConfigError, DataError, NumericError, check_count
+from .families import SIMULATED
 from .models import ObservationSet
 
 
@@ -26,20 +27,13 @@ def simulate_univariate(family: str, theta0: float, n: int, seed: int) -> Observ
     check_count(n, "n")
     if not math.isfinite(theta0):
         raise ConfigError(f"simulation parameter must be finite, got {theta0!r}")
+    source = SIMULATED.get(family)
+    if source is None:
+        raise ConfigError(f"unsupported simulation family '{family}'")
+    source.check_theta0(theta0)
     g = rng.stream(rng.SIMULATE, seed)
-    if family in ("poisson", "exponential") and theta0 <= 0:
-        raise ConfigError(f"{family} rate must be positive")
     try:
-        if family == "poisson":
-            y = g.poisson(theta0, n).astype(float)
-        elif family == "exponential":
-            y = g.exponential(1.0 / theta0, n)
-        elif family == "bernoulli":
-            if not 0.0 <= theta0 <= 1.0:
-                raise ConfigError("bernoulli probability must lie in [0, 1]")
-            y = g.binomial(1, theta0, n).astype(float)
-        else:
-            raise ConfigError(f"unsupported simulation family '{family}'")
+        y = source.simulate_data(theta0, n, g)
     except ValueError as exc:  # numpy refuses a poisson rate near 2**63
         raise ConfigError(f"cannot simulate {family} data at {theta0!r}: {exc}") from None
     meta = {"source": "simulate", "family": family, "theta0": float(theta0),

@@ -33,6 +33,14 @@ def whole(value) -> int:
     return int(value)
 
 
+def real(value) -> float:
+    """``float(value)`` for a real number: a bool raises ValueError instead of
+    being read as 1.0 or 0.0."""
+    if isinstance(value, bool):
+        raise ValueError(f"not a real number: {value!r}")
+    return float(value)
+
+
 MAX_ELEMENTS = 10 ** 8
 
 

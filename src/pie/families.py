@@ -7,7 +7,8 @@ One object per family below owns everything that depends on the family:
 hyperparameter validation, the config keys it reads and their defaults,
 the data support check, the sufficient statistics, the tempered update,
 exact draws from a given generator, the log kernel of the updated law, the
-prior mean, and the name of the simulation family its data come from.
+prior mean, and the name of the simulation family its data come from; a
+scalar family also checks a true parameter and draws data at it.
 ``custom-logdensity``, the one non-conjugate family, has no object here.
 
 The tempered posterior is stated once, as the update.  The function a
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError, check_count, coerce, whole
+from .errors import ConfigError, DataError, NumericError, check_count, coerce, real, whole
 
 _SINGULAR_PRECISION = "singular precision matrix temper * Z'Z + inv(omega)"
 _STATS_ROWS = 10_000
@@ -47,8 +48,8 @@ def check_temper(temper) -> float:
 
 
 def _prior_pair(h: dict, name: str, a_min: float) -> tuple[float, float]:
-    a = coerce(h.get("a", 0.0), float, f"{name} hyperparameter a")
-    b = coerce(h.get("b", 0.0), float, f"{name} hyperparameter b")
+    a = coerce(h.get("a", 0.0), real, f"{name} hyperparameter a")
+    b = coerce(h.get("b", 0.0), real, f"{name} hyperparameter b")
     if not (a_min < a < math.inf and 0 < b < math.inf):
         raise ConfigError(f"{name} requires finite a > {a_min:g} and b > 0")
     return a, b
@@ -149,6 +150,10 @@ class _GammaRate(_ScalarFamily):
     """Positive rate t with a Gamma(a, b) prior (shape a, rate b): a shard
     with statistics (u, v) has likelihood kernel t^u exp(-v t)."""
 
+    def check_theta0(self, theta0):
+        if theta0 <= 0:
+            raise ConfigError(f"{self.simulate} rate must be positive")
+
     def draw(self, post, T: int, g) -> np.ndarray:
         shape, rate = post
         return g.gamma(shape, 1.0 / rate, size=T)
@@ -180,6 +185,9 @@ class PoissonGamma(_GammaRate):
     def stats(self, y, Z=None):
         return y.sum(), y.size
 
+    def simulate_data(self, theta0, n: int, g) -> np.ndarray:
+        return g.poisson(theta0, n).astype(float)
+
     def log_base_measure(self, y, Z=None) -> float:
         # log prod y_i!; counts repeat, so lgamma runs once per distinct count
         values, counts = np.unique(y, return_counts=True)
@@ -195,6 +203,9 @@ class ExponentialGamma(_GammaRate):
     def stats(self, y, Z=None):
         return y.size, y.sum()
 
+    def simulate_data(self, theta0, n: int, g) -> np.ndarray:
+        return g.exponential(1.0 / theta0, n)
+
 
 class BernoulliBeta(_ScalarFamily):
     name, simulate, support = "bernoulli-beta", "bernoulli", "be binary"
@@ -205,6 +216,13 @@ class BernoulliBeta(_ScalarFamily):
     def stats(self, y, Z=None):
         S = y.sum()
         return S, y.size - S
+
+    def check_theta0(self, theta0):
+        if not 0.0 <= theta0 <= 1.0:
+            raise ConfigError("bernoulli probability must lie in [0, 1]")
+
+    def simulate_data(self, theta0, n: int, g) -> np.ndarray:
+        return g.binomial(1, theta0, n).astype(float)
 
     def draw(self, post, T: int, g) -> np.ndarray:
         alpha, beta = post
@@ -269,7 +287,7 @@ class NormalLinearNIG(_Family):
         check_count(p * p, "omega size data.p ** 2")
         omega = take("model.omega", 100.0)
         if np.isscalar(omega):
-            omega = np.diag(np.full(p, coerce(omega, float, "model.omega")))
+            omega = np.diag(np.full(p, coerce(omega, real, "model.omega")))
         return {"a": take("model.a", 6.0), "b": take("model.b", 2.0),
                 "mu_star": take("model.mu_star", [0.0] * p), "omega": omega}, p + 1
 
@@ -369,3 +387,5 @@ EXPONENTIAL = ExponentialGamma()
 BERNOULLI = BernoulliBeta()
 LINEAR = NormalLinearNIG()
 CONJUGATE = {f.name: f for f in (POISSON, EXPONENTIAL, BERNOULLI, LINEAR)}
+# the scalar families by the name of the data they simulate
+SIMULATED = {f.simulate: f for f in (POISSON, EXPONENTIAL, BERNOULLI)}

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import rng
-from .errors import ConfigError, DataError, coerce
+from .errors import ConfigError, DataError, coerce, real
 from .families import CONJUGATE, check_temper, float_array, read_only
 
 FAMILIES = (*CONJUGATE, "custom-logdensity")
@@ -150,7 +150,7 @@ class LinearFunctional:
         if a.ndim != 1 or not np.all(np.isfinite(a)) or not np.any(a != 0.0):
             raise ConfigError("functional weights must be finite with a nonzero entry")
         object.__setattr__(self, "a", read_only(a))
-        b = coerce(self.b, float, "functional offset")
+        b = coerce(self.b, real, "functional offset")
         if not np.isfinite(b):
             raise ConfigError(f"functional offset must be finite, got {b!r}")
         object.__setattr__(self, "b", b)

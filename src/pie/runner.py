@@ -22,9 +22,10 @@ import numpy as np
 import yaml
 
 from . import __version__, rng
-# perfbench/tracing.py patches average_quantile_tables, pie_interval and
-# quantile_table on this module, so they stay bound here though _run_seed
-# reads every quantile off _order_statistics
+# perfbench/tracing.py patches average_quantile_tables, pie_interval,
+# quantile_table and the four sample_* wrappers on this module, so they stay
+# bound here though _run_seed reads every quantile off _order_statistics and
+# _exact_draws reaches every family through its object
 from .combine import (  # noqa: F401
     IntervalEstimate,
     QuantileTable,
@@ -44,8 +45,9 @@ from .families import CONJUGATE
 from .metrics import accuracy, quantile_gap, table_moments, w2_from_tables
 from .models import ObservationSet, TemperedTarget, apply_functional, partition
 from .multidim import combine_multidim
-from .samplers import (
+from .samplers import (  # noqa: F401 - the sample_* wrappers, see above
     DrawMatrix,
+    _exact,
     sample_bernoulli_beta,
     sample_exponential_gamma,
     sample_metropolis,
@@ -112,22 +114,11 @@ def _dataset(cfg: ExperimentConfig, seed: int) -> ObservationSet:
     return simulate_univariate(family.simulate, cfg.true_theta, cfg.n, seed)
 
 
-def _exact_draws(cfg: ExperimentConfig, shard: ObservationSet, temper: float,
+def _exact_draws(cfg: ExperimentConfig, data: ObservationSet, temper: float,
                  T: int, seed: int, shard_id=None) -> DrawMatrix:
-    h = cfg.model.hyperparameters
-    family = cfg.model.family
-    if family == "poisson-gamma":
-        return sample_poisson_gamma(shard.responses, temper, h["a"], h["b"], T,
-                                    seed, shard_id=shard_id)
-    if family == "exponential-gamma":
-        return sample_exponential_gamma(shard.responses, temper, h["a"], h["b"], T,
-                                        seed, shard_id=shard_id)
-    if family == "bernoulli-beta":
-        return sample_bernoulli_beta(shard.responses, temper, h["a"], h["b"], T,
-                                     seed, shard_id=shard_id)
-    return sample_normal_linear_nig(shard.responses, shard.design, temper,
-                                    h["mu_star"], h["omega"], h["a"], h["b"],
-                                    T, seed, shard_id=shard_id)
+    family = CONJUGATE[cfg.model.family]
+    post = family.posterior(cfg.model.hyperparameters, data.responses, data.design, temper)
+    return _exact(family, post, T, seed, shard_id)
 
 
 def _sample_shard(cfg: ExperimentConfig, obs: ObservationSet, plan, master_seed: int,

@@ -15,7 +15,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import rng
-from .errors import ConfigError, NumericError, check_count, coerce
+from .errors import ConfigError, NumericError, check_count, coerce, real
 from .families import (BERNOULLI, EXPONENTIAL, LINEAR, POISSON, NormalLinearPosterior,
                        read_only)
 from .models import TemperedTarget
@@ -73,7 +73,7 @@ class ChainConfig:
                 "chain config retains fewer than 2 draws; increase T_total"
             )
         if self.proposal_scale != "auto":
-            s = coerce(self.proposal_scale, float, "proposal_scale")
+            s = coerce(self.proposal_scale, real, "proposal_scale")
             if not (math.isfinite(s) and s > 0):
                 raise ConfigError("proposal_scale must be positive or 'auto'")
             object.__setattr__(self, "proposal_scale", s)

@@ -107,6 +107,10 @@ MALFORMED_OVERRIDES = [
     # whole-number keys refuse a fraction or a bool rather than truncate it
     ["n=200.5"], ["n=true", "K=1"], ["K=1.5"], ["grid_size=49.5"], ["chain.T_total=2000.5"],
     ["chain.thin=1.5"], ["seeds=[1.5]"], ["seeds=[true]"], [*LINEAR_OVERRIDES, "data.p=2.5"],
+    # real-number keys refuse a bool rather than read it as 1.0 or 0.0
+    ["model.a=yes"], ["chain.burn_fraction=no"], ["data.true_theta=true"],
+    ["chain.proposal_scale=on"], [*LINEAR_OVERRIDES, "model.omega=yes"],
+    ["functionals=[{a: [1], b: true}]"],
     ["functionals=[{a: [1], b: .inf}]"], ["functionals=[{a: [1], b: .nan}]"],
     # numpy refuses this grid size before allocating anything
     ["grid_size=100000000000000000000"],
@@ -272,6 +276,14 @@ def test_combine_column_range(tmp_path):
         assert isinstance(result.exception, SystemExit), column
         assert not out.exists()
     assert f"{files[0]}: has 2 columns, no column 3" in result.output
+    # an interval that cannot be computed writes no table either
+    one_draw = tmp_path / "one.csv"
+    write_draws(np.array([[1.0]]), one_draw)
+    for args, code in ((["--alpha", "1.5", *files], 2),
+                       (["--alpha", "0.1", files[0], str(one_draw)], 3)):
+        result = CliRunner().invoke(main, ["combine", *args, "--out", str(out)])
+        assert result.exit_code == code, (args, result.output, result.exception)
+        assert "combined" not in result.output and not out.exists()
     result = CliRunner().invoke(main, ["combine", *files, "--column", "2",
                                        "--out", str(out)])
     assert result.exit_code == 0, result.output
@@ -291,11 +303,14 @@ def test_combine_oversized_grid_exit_code(tmp_path):
         assert "grid size" in result.output and not out.exists()
 
 
-def test_package_imports_without_scipy():
+def test_package_imports_without_scipy(tmp_path):
     src = str(Path(__file__).resolve().parent.parent / "src")
+    config = write_config(tmp_path / "cfg.yaml")
+    # loading a valid config pulls in none of the lazily imported modules either
     code = (f"import sys; sys.path.insert(0, {src!r}); import pie, pie.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('scipy', 'concurrent')))")
+            f"pie.load_config({str(config)!r}); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('scipy', 'concurrent', 'orjson', 'difflib')))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, timeout=60, check=True)
     assert result.stdout.strip() == "[]"

@@ -33,6 +33,8 @@ from pie import (
     quantile_gap,
     quantile_table,
     run_experiment,
+    sample_bernoulli_beta,
+    sample_exponential_gamma,
     sample_from_table,
     sample_normal_linear_nig,
     sample_poisson_gamma,
@@ -44,7 +46,7 @@ from pie.cli import main
 from pie.config import KEYS, SECTIONS
 from pie.data import read_json
 from pie.families import CONJUGATE
-from pie.runner import YAML_DUMPER, _sample_shard, _versions
+from pie.runner import YAML_DUMPER, _dataset, _exact_draws, _sample_shard, _versions
 from oracles import SPECIAL_FLOATS as SPECIAL, gamma_quantile, reference_csv
 
 
@@ -65,6 +67,13 @@ def poisson_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+# the data keys each conjugate family's simulated runs need
+FAMILY_DATA = {"poisson-gamma": {"data.true_theta": 3.0},
+               "exponential-gamma": {"data.true_theta": 2.0},
+               "bernoulli-beta": {"data.true_theta": 0.3},
+               "normal-linear-nig": {"data.p": 3}}
 
 
 class TestConfig:
@@ -316,19 +325,31 @@ class TestRunExperiment:
                                           s8.tables[name][source].values)
             assert s1.cells == s8.cells
 
-    def test_shard_recompute_from_key(self):
-        cfg = poisson_config(K=4, n=800)
-        from pie.data import simulate_univariate
-        obs = simulate_univariate("poisson", 3.0, 800, seed=0)
+    @pytest.mark.parametrize("family", FAMILY_DATA)
+    def test_shard_recompute_from_key(self, family):
+        # a shard's draws and the oracle's are the public wrapper's, bit for bit
+        cfg = load_config(None, {"model.family": family, "n": 800, "K": 4,
+                                 "chain.T_total": 4000, **FAMILY_DATA[family]})
+        h, T = cfg.model.hyperparameters, cfg.chain.retained
+
+        def public(data, temper, seed):
+            if family == "normal-linear-nig":
+                return sample_normal_linear_nig(data.responses, data.design, temper,
+                                                h["mu_star"], h["omega"], h["a"], h["b"],
+                                                T, seed)
+            wrapper = {"poisson-gamma": sample_poisson_gamma,
+                       "exponential-gamma": sample_exponential_gamma,
+                       "bernoulli-beta": sample_bernoulli_beta}[family]
+            return wrapper(data.responses, temper, h["a"], h["b"], T, seed)
+
+        obs = _dataset(cfg, 0)
         plan = partition(800, 4, 0)
         shard = _sample_shard(cfg, obs, plan, 0, 2)
-        direct = sample_poisson_gamma(
-            obs.take(plan.shard_indices(2)).responses,
-            800 / plan.shard_sizes[2],
-            1.0, 1.0, cfg.chain.retained,
-            seed=pie_rng.shard_seed(0, 2),
-        )
+        direct = public(obs.take(plan.shard_indices(2)), 800 / plan.shard_sizes[2],
+                        pie_rng.shard_seed(0, 2))
         assert np.array_equal(shard.values, direct.values)
+        oracle = _exact_draws(cfg, obs, 1.0, T, pie_rng.oracle_seed(0))
+        assert np.array_equal(oracle.values, public(obs, 1.0, pie_rng.oracle_seed(0)).values)
 
     def test_consensus_and_multidim_modes_run(self):
         for mode in ("consensus", "multidim"):
