@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print the SHA-256 of every report file a fixed set of `pie run` configurations produce.
 
-    python3 tools/report_digest.py --seeds 1 2 --workers 1 2 > digest.txt
+    python3 tools/report_digest.py --seeds 1 2 --workers 1 2 > tests/report_digest.txt
 
 Runs each configuration of ``perfbench/workloads.py``, and the nine of
 ``EXTRA_CONFIGS`` below that cover what those leave out, once per master
@@ -15,6 +15,12 @@ excepted, plus one for each CSV input written for a configuration that
 reads one: 222 lines for the arguments above, the first 186 of them from
 the configurations before the two with general functionals.  Comparing two
 checkouts' reports is then one ``diff`` of their outputs.
+
+Three ``#`` lines come first and name the Python, numpy and BLAS builds:
+``config.yaml`` echoes the first two, and the normal-linear draws' bits
+depend on the third, so digests compare only where these lines match.
+``tests/test_report_digest.py`` regenerates the checked-in
+``tests/report_digest.txt`` with the arguments above and compares.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -30,6 +37,8 @@ import yaml
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import numpy as np  # noqa: E402
 
 import pie  # noqa: E402
 from workloads import LINEAR_MODEL, WORKLOADS  # noqa: E402
@@ -101,11 +110,20 @@ def write_runs(seeds: list, workers: list) -> list:
     return paths
 
 
+def environment() -> list:
+    """The ``#`` lines naming the builds a digest depends on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    build = " ".join(str(blas.get(key, "")) for key in ("name", "version"))
+    return [f"# python {platform.python_version()}", f"# numpy {np.__version__}",
+            f"# blas {build} ({blas.get('openblas configuration', 'no configuration')})"]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
     parser.add_argument("--workers", type=int, nargs="+", default=[1])
     args = parser.parse_args(argv)
+    print("\n".join(environment()))
     start = Path.cwd()
     with tempfile.TemporaryDirectory(prefix="report-digest-") as work:
         os.chdir(work)
