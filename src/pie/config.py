@@ -63,7 +63,8 @@ class ExperimentConfig:
         for alpha in self.alpha_levels:
             if not 0.0 < alpha < 1.0:
                 raise ConfigError(f"alpha levels must lie in (0, 1), got {alpha}")
-        check_count(self.grid_size, "grid_size")
+        # a cell is scored by the spread of a table's values, which one value lacks
+        check_count(self.grid_size, "grid_size", least=2)
         if not self.seeds:
             raise ConfigError("at least one seed is required")
         if len(set(self.seeds)) != len(self.seeds):
@@ -230,7 +231,10 @@ def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
     if flat:
         import difflib  # only on this path: every `pie` command pays for its imports
 
-        key = next(iter(flat))
+        key, value = next(iter(flat.items()))
+        # a misspelled section is a leftover mapping: name it by its first key
+        if isinstance(value, dict) and value:
+            key = f"{key}.{next(iter(value))}"
         close = difflib.get_close_matches(str(key), known, n=1)
         hint = f"; did you mean '{close[0]}'?" if close else ""
         raise ConfigError(f"unknown config key '{key}'{hint}")

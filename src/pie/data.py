@@ -194,8 +194,12 @@ def _row_blocks(columns: list, rows: int):
 
 
 def format_json(obj) -> str:
-    """``obj`` as indented JSON with sorted keys, ending in a newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``obj`` as indented JSON with sorted keys, ending in a newline.  A
+    non-finite number, which ``read_json`` refuses, is a NumericError."""
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericError(f"refusing to write a non-finite number as JSON: {exc}") from None
 
 
 def write_json(path, obj):

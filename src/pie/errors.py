@@ -44,11 +44,11 @@ def real(value) -> float:
 MAX_ELEMENTS = 10 ** 8
 
 
-def check_count(value: int, key: str) -> int:
-    """``value`` if it lies in [1, MAX_ELEMENTS]; a count past the bound asks
-    numpy for an array it may not be able to allocate."""
-    if not 1 <= value <= MAX_ELEMENTS:
-        raise ConfigError(f"{key} must lie in [1, {MAX_ELEMENTS:.0e}], got {value}")
+def check_count(value: int, key: str, least: int = 1) -> int:
+    """``value`` if it lies in [least, MAX_ELEMENTS]; a count past the bound
+    asks numpy for an array it may not be able to allocate."""
+    if not least <= value <= MAX_ELEMENTS:
+        raise ConfigError(f"{key} must lie in [{least}, {MAX_ELEMENTS:.0e}], got {value}")
     return value
 
 

@@ -20,7 +20,6 @@ RESAMPLE = 2
 PARTITION = 3
 SIMULATE = 4
 CHAIN = 5
-METRICS = 6
 
 
 def stream(*key: int) -> np.random.Generator:

@@ -23,8 +23,9 @@ import yaml
 
 from . import __version__, rng
 # perfbench/tracing.py patches average_quantile_tables, pie_interval,
-# quantile_table and the four sample_* wrappers on this module, so they stay
-# bound here though _run_seed reads every quantile off _order_statistics and
+# quantile_table, sample_from_table and the four sample_* wrappers on this
+# module, so they stay bound here though _run_seed reads every quantile off
+# _order_statistics, scores every cell from two quantile tables, and
 # _exact_draws reaches every family through its object
 from .combine import (  # noqa: F401
     IntervalEstimate,
@@ -38,8 +39,8 @@ from .combine import (  # noqa: F401
     sample_from_table,
 )
 from .config import ExperimentConfig
-from .data import (format_numbers, load_csv, simulate_linear, simulate_univariate,
-                   write_draws, write_json, write_rows)
+from .data import (format_json, format_numbers, load_csv, simulate_linear,
+                   simulate_univariate, write_draws, write_rows)
 from .errors import ConfigError, DataError, PieError
 from .families import CONJUGATE
 from .metrics import accuracy, quantile_gap, table_moments, w2_from_tables
@@ -162,11 +163,11 @@ def _lap(timings: dict, phase: str, t0: float) -> float:
     return now
 
 
-def _quantile_rows(functionals: list, dm: DrawMatrix, levels: np.ndarray):
-    """Each functional's values on the draws, as unsorted columns, and their
-    quantiles at ``levels``, read off one T x F block sorted once."""
+def _quantile_rows(functionals: list, dm: DrawMatrix, levels: np.ndarray) -> np.ndarray:
+    """Each functional's quantiles of the draws at ``levels``, one column per
+    functional, read off one T x F block sorted once."""
     columns = [apply_functional(functional, dm) for functional in functionals]
-    return columns, _order_statistics(np.sort(np.column_stack(columns), axis=0), levels)
+    return _order_statistics(np.sort(np.column_stack(columns), axis=0), levels)
 
 
 def _run_seed(cfg: ExperimentConfig, master_seed: int, timings: dict) -> SeedResult:
@@ -183,7 +184,7 @@ def _run_seed(cfg: ExperimentConfig, master_seed: int, timings: dict) -> SeedRes
     shard_draws = _sample_all_shards(cfg, obs, plan, master_seed)
     t0 = _lap(timings, "sample", t0)
 
-    rows = {f"shard{j}": _quantile_rows(cfg.functionals, dm, levels)[1]
+    rows = {f"shard{j}": _quantile_rows(cfg.functionals, dm, levels)
             for j, dm in enumerate(shard_draws)}
     combined_dm = None
     if cfg.mode == "consensus":
@@ -194,7 +195,7 @@ def _run_seed(cfg: ExperimentConfig, master_seed: int, timings: dict) -> SeedRes
         # the barycenter: the shards' quantile functions averaged in shard order
         rows["combined"] = np.mean(np.stack(list(rows.values())), axis=0)
     else:
-        combined_xi, rows["combined"] = _quantile_rows(cfg.functionals, combined_dm, levels)
+        rows["combined"] = _quantile_rows(cfg.functionals, combined_dm, levels)
     tables = {f"f{i}": {source: QuantileTable(grid=grid, values=r[:grid.size, i])
                         for source, r in rows.items()}
               for i in range(len(cfg.functionals))}
@@ -209,23 +210,20 @@ def _run_seed(cfg: ExperimentConfig, master_seed: int, timings: dict) -> SeedRes
 
     oracle = _exact_draws(cfg, obs, 1.0, cfg.chain.retained,
                           rng.oracle_seed(master_seed))
-    oracle_xi, oracle_rows = _quantile_rows(cfg.functionals, oracle, levels)
+    oracle_rows = _quantile_rows(cfg.functionals, oracle, levels)
+    # every cell compares the combined table with the oracle's: each table's
+    # values are equally weighted atoms of its law, in every mode
     cells = []
     for idx, (name, functional) in enumerate(zip(tables, cfg.functionals)):
         combined_table = tables[name]["combined"]
         oracle_table = QuantileTable(grid=grid, values=oracle_rows[:grid.size, idx])
-        if combined_dm is None:
-            stream = rng.stream(rng.METRICS, master_seed, idx)
-            combined_samples = sample_from_table(combined_table, oracle.T, stream)
-        else:
-            combined_samples = combined_xi[idx]
         mean, variance = table_moments(combined_table)
         xi0 = _true_xi(cfg, obs, functional)
         cells.append({
             "seed": master_seed,
             "functional": name,
             "w2": w2_from_tables(combined_table, oracle_table),
-            "accuracy": accuracy(combined_samples, oracle_xi[idx]),
+            "accuracy": accuracy(combined_table.values, oracle_table.values),
             "bias": None if xi0 is None else mean - xi0,
             "variance": variance,
             "quantile_gap": quantile_gap(combined_table, oracle_table, 0.05, 0.95),
@@ -285,13 +283,14 @@ def _report_files(report: ExperimentReport) -> dict:
     overwrite check, the staged writes and the moves all follow it.
     """
     echo = {"config": report.config, "versions": report.versions}
-    files = {
-        Path("config.yaml"): lambda path: path.write_text(
-            yaml.dump(echo, Dumper=YAML_DUMPER, sort_keys=True), encoding="utf-8"),
-        Path("metrics.json"): partial(write_json, obj={"cells": [
-            cell for result in report.seed_results for cell in result.cells]}),
-        Path("timings.json"): partial(write_json, obj=report.timings),
-    }
+    cells = [cell for result in report.seed_results for cell in result.cells]
+    # formatted before emit_report makes a directory, so a number JSON cannot
+    # hold leaves nothing behind
+    texts = {Path("config.yaml"): yaml.dump(echo, Dumper=YAML_DUMPER, sort_keys=True),
+             Path("metrics.json"): format_json({"cells": cells}),
+             Path("timings.json"): format_json(report.timings)}
+    files = {rel: partial(Path.write_text, data=text, encoding="utf-8")
+             for rel, text in texts.items()}
     for result in report.seed_results:
         seed_dir = Path(f"seed-{result.seed}")
         files[seed_dir / "quantiles.csv"] = partial(

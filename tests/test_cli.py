@@ -114,6 +114,8 @@ MALFORMED_OVERRIDES = [
     ["functionals=[{a: [1], b: .inf}]"], ["functionals=[{a: [1], b: .nan}]"],
     # numpy refuses this grid size before allocating anything
     ["grid_size=100000000000000000000"],
+    # a one-value table has no spread to score, in any mode
+    ["grid_size=1"], ["grid_size=1", "mode=consensus"],
     # sizes numpy would try to allocate (36 TiB of chain states, a 4 EiB grid)
     ["chain.T_total=1.0e+13"], ["grid_size=576460752303423488"], ["grid_size=100000001"],
     # 72.8 TiB of Poisson counts, a 7.28 TiB omega, a design past 10^8 entries
@@ -352,15 +354,35 @@ def test_numeric_error_exit_code(tmp_path):
 
 
 def test_constant_combined_sample_exit_code(tmp_path):
-    # a one-point grid makes every combined draw the same value, and np.std
-    # of those draws is a rounding residue rather than 0
+    # a proposal scale of 1e300 rejects every step, so each chain stays at its
+    # start and every table it gives is one repeated value
     cfg = write_config(tmp_path / "cfg.yaml", n=1000, chain={"T_total": 10000})
     out = tmp_path / "out"
     result = CliRunner().invoke(main, ["run", "--config", str(cfg), "--set",
-                                       "grid_size=1", "--out", str(out)])
+                                       "sampler=metropolis", "--set",
+                                       "chain.proposal_scale=1e300", "--out", str(out)])
     assert result.exit_code == 4, (result.output, result.exception)
     assert "degenerate sample: zero spread" in result.output
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings
+def test_non_finite_metrics_are_refused(tmp_path):
+    # metrics that overflow, or whose bandwidth underflows, at extreme scales
+    # are NaN or Infinity, which read_json refuses: the run writes nothing
+    cfg = write_config(tmp_path / "cfg.yaml", n=200, K=4)
+    for i, overrides in enumerate([
+            ["model.b=1e300"], ["model.family=exponential-gamma", "data.true_theta=1e-300"],
+            ["functionals=[{a: [1.0e-300]}]"], [*LINEAR_OVERRIDES, "model.b=1e300"],
+            ["functionals=[{a: [1.0e+300]}]"]]):
+        out = tmp_path / f"out{i}"
+        args = ["run", "--config", str(cfg), "--out", str(out)]
+        for item in overrides:
+            args += ["--set", item]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 4, (overrides, result.output, result.exception)
+        assert "non-finite number" in result.output
+        assert not out.exists()
 
 
 def test_metrics_on_samples(tmp_path):

@@ -35,7 +35,6 @@ from pie import (
     run_experiment,
     sample_bernoulli_beta,
     sample_exponential_gamma,
-    sample_from_table,
     sample_normal_linear_nig,
     sample_poisson_gamma,
     simulate_linear,
@@ -174,6 +173,9 @@ class TestConfig:
         for base, key, close in [(poisson, "model.aa", "model.a"),
                                  (poisson, "alpha_level", "alpha_levels"),
                                  (poisson, "chain.thni", "chain.thin"),
+                                 # a misspelled section is named by its first key
+                                 (poisson, "chian.thin", "chain.thin"),
+                                 (poisson, "modle.a", "model.a"),
                                  (linear, "model.mu_sta", "model.mu_star")]:
             with pytest.raises(ConfigError, match=f"'{key}'; did you mean '{close}'"):
                 load_config(None, {**base, key: "1"})
@@ -351,6 +353,18 @@ class TestRunExperiment:
         oracle = _exact_draws(cfg, obs, 1.0, T, pie_rng.oracle_seed(0))
         assert np.array_equal(oracle.values, public(obs, 1.0, pie_rng.oracle_seed(0)).values)
 
+    def test_a_pie_seed_opens_three_streams_and_one_per_shard(self, monkeypatch):
+        # the simulated data, the partition and the oracle, and each shard's
+        # sampler: scoring draws nothing, however many functionals are scored
+        opened = []
+        stream = pie_rng.stream
+        monkeypatch.setattr(pie_rng, "stream", lambda *key: opened.append(key) or stream(*key))
+        for F in (1, 3):
+            opened.clear()
+            run_experiment(poisson_config(K=4, functionals=[
+                LinearFunctional([float(c)], b=c) for c in range(1, F + 1)]))
+            assert len(opened) == 3 + 4, F
+
     def test_consensus_and_multidim_modes_run(self):
         for mode in ("consensus", "multidim"):
             cfg = poisson_config(mode=mode, n=300, K=2)
@@ -402,22 +416,18 @@ class TestRunExperiment:
             if combined is None:
                 tables["combined"] = average_quantile_tables(list(tables.values()))
                 interval_xi = shard_xi
-                stream = pie_rng.stream(pie_rng.METRICS, seed, i)
-                samples = sample_from_table(tables["combined"], oracle.T, stream)
             else:
-                samples = apply_functional(functional, combined)
-                tables["combined"] = quantile_table(samples, grid)
-                interval_xi = [samples]
+                interval_xi = [apply_functional(functional, combined)]
+                tables["combined"] = quantile_table(interval_xi[0], grid)
             got = result.tables[f"f{i}"]
             assert list(got) == list(tables)
             assert all(bits(got[s].values) == bits(tables[s].values) for s in tables)
             for alpha in alphas:
                 est = pie_interval(interval_xi, alpha)
                 intervals.append([f"f{i}", alpha, *bits([est.lower, est.upper])])
-            oracle_xi = apply_functional(functional, oracle)
-            oracle_table = quantile_table(oracle_xi, grid)
+            oracle_table = quantile_table(apply_functional(functional, oracle), grid)
             cells.append(bits([w2_from_tables(tables["combined"], oracle_table),
-                               accuracy(samples, oracle_xi),
+                               accuracy(tables["combined"].values, oracle_table.values),
                                quantile_gap(tables["combined"], oracle_table, 0.05, 0.95)]))
         assert [[e["functional"], e["alpha"], *bits([e["lower"], e["upper"]])]
                 for e in result.intervals] == intervals

@@ -126,6 +126,14 @@ class TestAccuracy:
         assert accuracy(g.standard_normal(100000),
                         g.standard_normal(100000)) >= 0.95
 
+    def test_constant_sample_with_rounding_residue(self):
+        # np.std of 1000 copies of 2.9 is a rounding residue (8.9e-16), not 0;
+        # the sample still has no spread to score
+        x = np.full(1000, 2.9)
+        assert np.std(x) > 0
+        with pytest.raises(NumericError, match="degenerate sample: zero spread"):
+            accuracy(x, np.random.default_rng(9).standard_normal(1000))
+
     def test_symmetry(self):
         g = np.random.default_rng(8)
         a = g.standard_normal(3000)
