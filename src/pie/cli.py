@@ -31,6 +31,7 @@ from .data import (
     write_quantile_table,
 )
 from .errors import DataError, PieError
+from .families import SIMULATED
 from .metrics import accuracy, bias_variance_summary, quantile_gap, w2_from_tables
 from .runner import INTERVALS_HEADER, emit_report, run_experiment
 
@@ -54,8 +55,7 @@ def main():
 
 
 @main.command()
-@click.option("--family", required=True,
-              type=click.Choice(["poisson", "exponential", "bernoulli", "linear"]))
+@click.option("--family", required=True, type=click.Choice([*SIMULATED, "linear"]))
 @click.option("--n", "n", required=True, type=int, help="Number of observations.")
 @click.option("--theta0", type=float, default=None,
               help="True parameter for the univariate families.")

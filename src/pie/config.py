@@ -67,6 +67,9 @@ class ExperimentConfig:
         check_count(self.grid_size, "grid_size", least=2)
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        # streams are keyed modulo 2**64: seeds outside one period would alias
+        if not all(0 <= seed < 1 << 64 for seed in self.seeds):
+            raise ConfigError(f"seeds must lie in [0, 2**64), got {self.seeds}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be unique")
         if self.mode not in MODES:

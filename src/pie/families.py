@@ -167,8 +167,7 @@ class _GammaRate(_ScalarFamily):
     def posterior_log_kernel(self, post, c):
         a1, rate = float(post[0]) - 1.0, float(post[1])
 
-        def log_density(theta):
-            t = theta[0]
+        def log_density(t):
             if t <= 0:
                 return -np.inf
             return a1 * math.log(t) - rate * t + c
@@ -237,8 +236,7 @@ class BernoulliBeta(_ScalarFamily):
     def posterior_log_kernel(self, post, c):
         a1, b1 = float(post[0]) - 1.0, float(post[1]) - 1.0
 
-        def log_density(theta):
-            t = theta[0]
+        def log_density(t):
             if not 0.0 < t < 1.0:
                 return -np.inf
             return a1 * math.log(t) + b1 * math.log1p(-t) + c

@@ -219,10 +219,12 @@ class TemperedTarget:
     immutable, reentrant, and safe to share across threads.
 
     ``log_density`` checks the size of ``theta`` on every call.
-    ``log_kernel`` is the same function without that check: it takes a
-    float ndarray of shape (d,) or a tuple of d floats.  A caller that has
-    checked its point once, such as a Metropolis chain, calls it directly.
-    ``custom-logdensity`` callables always receive a float ndarray.
+    ``log_kernel`` is the same function without that check, taking the
+    point as a Metropolis chain holds it: a Python float when d = 1 and a
+    float ndarray of shape (d,) otherwise.  A caller that has checked its
+    point once, such as the chain, calls it directly.
+    ``custom-logdensity`` callables always receive a float ndarray of shape
+    (d,).
     """
 
     model: ModelSpec
@@ -242,7 +244,7 @@ class TemperedTarget:
         object.__setattr__(self, "log_kernel", kernel)
 
     def _custom_log_density(self, theta) -> float:
-        theta = np.asarray(theta, dtype=float)
+        theta = np.atleast_1d(np.asarray(theta, dtype=float))
         lp = float(self.model.log_prior(theta))
         if not np.isfinite(lp):
             return -np.inf
@@ -257,7 +259,7 @@ class TemperedTarget:
             raise ConfigError(
                 f"theta has {theta.size} entries, expected {self.model.parameter_dim}"
             )
-        return self.log_kernel(theta)
+        return self.log_kernel(float(theta[0]) if theta.size == 1 else theta)
 
 
 def tempered_log_density(target: TemperedTarget, theta) -> float:

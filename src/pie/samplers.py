@@ -159,9 +159,9 @@ def sample_metropolis(target: TemperedTarget, init, cfg: ChainConfig,
     only the frozen phase.  Bit-identical output for identical (inputs, cfg).
 
     The target and the initial point are checked once, through
-    ``target.log_density``; every step then calls ``target.log_kernel``.  A
-    one-parameter state is held as a Python float, whose sums are the same
-    IEEE operations as on 1-element arrays.
+    ``target.log_density``; every step then calls ``target.log_kernel`` on
+    the state as the chain holds it.  A one-parameter state is a Python
+    float, whose sums are the same IEEE operations as on 1-element arrays.
     """
     theta = np.atleast_1d(np.asarray(init, dtype=float)).copy()
     d = theta.size
@@ -189,22 +189,13 @@ def sample_metropolis(target: TemperedTarget, init, cfg: ChainConfig,
             logu = np.log(g.random(block)).tolist()
             acc_block = 0
             walk = []
-            if d == 1:
-                for jump, log_u in zip(jumps.ravel().tolist(), logu):
-                    prop = state + jump
-                    lp_prop = kernel((prop,))
-                    if log_u < lp_prop - lp:
-                        state, lp = prop, lp_prop
-                        acc_block += 1
-                    walk.append(state)
-            else:
-                for jump, log_u in zip(jumps, logu):
-                    prop = state + jump
-                    lp_prop = kernel(prop)
-                    if log_u < lp_prop - lp:
-                        state, lp = prop, lp_prop
-                        acc_block += 1
-                    walk.append(state)
+            for jump, log_u in zip(jumps.ravel().tolist() if d == 1 else jumps, logu):
+                prop = state + jump
+                lp_prop = kernel(prop)
+                if log_u < lp_prop - lp:
+                    state, lp = prop, lp_prop
+                    acc_block += 1
+                walk.append(state)
             if keep:
                 # the steps done + i + 1 of this block that are multiples of thin
                 states += walk[(-done - 1) % cfg.thin::cfg.thin]

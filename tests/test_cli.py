@@ -131,6 +131,15 @@ MALFORMED_OVERRIDES = [
     ["model.omega=3"], ["data.p=5"],
     # a path key takes only a string: quote a path YAML reads as another type
     ["output_dir={a: 1}"], ["data.path={x: 1}"], ["data.source=csv", "data.path=[1, 2]"],
+    # values each check refuses: a repeated seed, an unknown sampler, a csv source
+    # with no path, a functional of another dimension, a zero thinning step, and
+    # simulated data with no true parameter
+    ["seeds=[1, 1]"], ["sampler=gibbs"], ["data.source=csv"], ["functionals=[{a: [1, 2]}]"],
+    ["chain.thin=0"], ["data.true_theta=null"],
+    # a dotted key cannot reach through a section set to a scalar
+    ["chain=5", "chain.thin=2"],
+    # streams are keyed modulo 2**64, so a seed outside [0, 2**64) would alias another
+    ["seeds=[-1]"], ["seeds=[18446744073709551616]"],
 ]
 
 
@@ -196,6 +205,33 @@ def test_invalid_yaml_exit_code(tmp_path):
     result = CliRunner().invoke(main, ["run", "--config", str(path)])
     assert result.exit_code == 2
     assert "YAML" in result.output
+
+
+def test_config_shape_exit_code(tmp_path):
+    # a config that is not a mapping, or lacks n, is refused before anything runs
+    not_mapping = tmp_path / "list.yaml"
+    not_mapping.write_text("- n: 200\n- K: 2\n", encoding="utf-8")
+    no_n = tmp_path / "no_n.yaml"
+    no_n.write_text("model: {family: poisson-gamma}\nK: 2\n", encoding="utf-8")
+    for path, message in ((not_mapping, "must be a mapping"), (no_n, "config requires n")):
+        result = CliRunner().invoke(
+            main, ["run", "--config", str(path), "--out", str(tmp_path / "never")])
+        assert result.exit_code == 2, (path, result.output, result.exception)
+        assert message in result.output
+    assert not (tmp_path / "never").exists()
+
+
+def test_aliasing_seeds_exit_code(tmp_path):
+    # the three seeds agree modulo 2**64 and so would draw one stream; -1 would
+    # run as 2**64 - 1
+    base = ["run", "--set", "model.family=poisson-gamma", "--set", "data.true_theta=3",
+            "--n", "100", "-K", "4", "--out", str(tmp_path / "never")]
+    for extra in (["--set", "seeds=[1, 18446744073709551617, -18446744073709551615]"],
+                  ["--seed", "-1"]):
+        result = CliRunner().invoke(main, base + extra)
+        assert result.exit_code == 2, (extra, result.output, result.exception)
+        assert "seeds must lie in [0, 2**64)" in result.output
+    assert not (tmp_path / "never").exists()
 
 
 def test_data_error_exit_code(tmp_path):

@@ -157,6 +157,22 @@ class TestTemperedLogDensity:
         )
         assert tempered_log_density(bern, [1.5]) == -np.inf
 
+    @pytest.mark.parametrize("family,y,inside,outside", [
+        ("poisson-gamma", [1, 2, 0, 5], [0.3, 1.0, 2.0, 7.5], [0.0, -1.0]),
+        ("exponential-gamma", [0.5, 1.5, 0.2], [0.3, 1.0, 2.0, 7.5], [0.0, -2.0]),
+        ("bernoulli-beta", [1, 0, 0, 1, 1], [1e-9, 0.35, 0.5, 0.99], [0.0, 1.0, -0.5, 1.5]),
+    ])
+    def test_scalar_kernel_takes_a_float(self, family, y, inside, outside):
+        # a one-parameter chain holds its state as a float and passes it as is
+        model = ModelSpec(family, {"a": 2.0, "b": 3.0})
+        target = TemperedTarget(model, ObservationSet(y), 4.0)
+        for x in inside:
+            got = target.log_kernel(x)
+            assert np.isfinite(got)
+            assert got == tempered_log_density(target, [x])
+        for x in outside:
+            assert target.log_kernel(x) == tempered_log_density(target, [x]) == -np.inf
+
     def test_temper_below_one_rejected(self):
         with pytest.raises(ConfigError):
             self.poisson_target([1], temper=0.5)
