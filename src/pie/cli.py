@@ -17,7 +17,7 @@ import click
 
 from . import __version__
 from .combine import default_grid, pie_interval, quantile_table, average_quantile_tables
-from .config import MODES, SAMPLERS, load_config
+from .config import MODES, SAMPLERS, check_seeds, load_config
 from .data import (
     _read_table,
     format_json,
@@ -65,6 +65,7 @@ def main():
 @_exits_with_code
 def simulate(family, n, theta0, p, seed, out):
     """Simulate a dataset and write it as CSV."""
+    check_seeds([seed])
     if family == "linear":
         obs = simulate_linear(n, p, seed)
     else:

@@ -29,6 +29,13 @@ SECTIONS = ("model", "data", "chain")
 OUTPUT_DIR_ENV = "PIE_OUT_DIR"
 
 
+def check_seeds(seeds: list) -> None:
+    """Refuse master seeds outside [0, 2**64): streams are keyed modulo
+    2**64, so such a seed would alias one inside."""
+    if not all(0 <= seed < 1 << 64 for seed in seeds):
+        raise ConfigError(f"seeds must lie in [0, 2**64), got {seeds}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one experiment needs; validated on construction.
@@ -67,9 +74,7 @@ class ExperimentConfig:
         check_count(self.grid_size, "grid_size", least=2)
         if not self.seeds:
             raise ConfigError("at least one seed is required")
-        # streams are keyed modulo 2**64: seeds outside one period would alias
-        if not all(0 <= seed < 1 << 64 for seed in self.seeds):
-            raise ConfigError(f"seeds must lie in [0, 2**64), got {self.seeds}")
+        check_seeds(self.seeds)
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be unique")
         if self.mode not in MODES:

@@ -78,22 +78,29 @@ class PartitionPlan:
 
     Shard j is the hand ``order[j::K]``, kept in ascending order, so the
     first ``n mod K`` shards hold ``ceil(n/K)`` indices and the rest
-    ``floor(n/K)``.
+    ``floor(n/K)``.  ``order`` is held as int32, so n stays below 2**31.
     """
 
     K: int
     order: np.ndarray
 
     def __post_init__(self):
-        order = np.array(self.order, dtype=np.int64)
+        order = np.asarray(self.order)
         n = order.size
         if order.ndim != 1:
             raise ConfigError("order must be a 1-d permutation of range(n)")
+        # a float or bool order would be truncated into indices by the cast
+        if order.dtype.kind not in "iu":
+            raise ConfigError(f"order must hold integers, got dtype {order.dtype}")
+        _check_plan_size(n)
         if not 1 <= self.K <= n:
             raise ConfigError(f"a plan needs 1 <= K <= n, got K={self.K}, n={n}")
+        # checked before the narrowing cast, which would wrap 2**32 + 3 into 3
+        if order.min() < 0 or order.max() >= n:
+            raise ConfigError("order must be a permutation of range(n)")
+        order = order.astype(np.int32)
         seen = np.zeros(n, dtype=bool)
-        if order.min() >= 0 and order.max() < n:
-            seen[order] = True
+        seen[order] = True
         if not seen.all():
             raise ConfigError("order must be a permutation of range(n)")
         # order[i] and order[i + K] are neighbours in the same hand
@@ -122,17 +129,27 @@ class PartitionPlan:
         return self.order[j::self.K]
 
 
+def _check_plan_size(n: int) -> None:
+    """Refuse an n whose indices int32 cannot hold."""
+    if n >= 1 << 31:
+        raise ConfigError(f"a partition holds int32 indices: n must be below 2**31, got {n}")
+
+
 def partition(n: int, K: int, seed: int) -> PartitionPlan:
     """Randomly split n observation indices into K near-equal shards.
 
     A seeded random permutation is dealt round-robin, so the first
     ``n mod K`` shards receive ``ceil(n/K)`` indices and the rest
     ``floor(n/K)``.  Each hand is sorted in place.  Pure function of
-    (n, K, seed).
+    (n, K, seed); it reads no data, so a run deals it while the data are
+    drawn.
     """
     if K < 1 or K > n:
         raise ConfigError(f"partition requires 1 <= K <= n, got K={K}, n={n}")
-    order = rng.stream(rng.PARTITION, seed).permutation(n)
+    _check_plan_size(n)
+    # the permutation Generator.permutation(n) returns, shuffled in int32
+    order = np.arange(n, dtype=np.int32)
+    rng.stream(rng.PARTITION, seed).shuffle(order)
     for j in range(K):
         order[j::K].sort()
     return PartitionPlan(K=K, order=order)

@@ -2,7 +2,8 @@
 
 Shards are sampled one after another in shard order; every shard's stream
 is keyed by (master seed, shard id), so a report depends only on the
-configuration.  Combining and metrics run once every shard is sampled.
+configuration.  Each seed's partition, a pure function of (n, K, seed), is
+dealt on one helper thread while the data are drawn.  Combining and metrics run once every shard is sampled.
 Any shard failure aborts the whole combine; partial results are never
 emitted.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 import os
 import platform
 import tempfile
+import threading
 import time
 from dataclasses import dataclass, replace
 from functools import partial
@@ -177,10 +179,29 @@ def _run_seed(cfg: ExperimentConfig, master_seed: int, timings: dict) -> SeedRes
     levels = np.concatenate([grid, *([a / 2.0, 1.0 - a / 2.0] for a in cfg.alpha_levels)])
     K = 1 if cfg.mode == "full-oracle" else cfg.K
     t0 = time.perf_counter()
-    obs = _dataset(cfg, master_seed)
-    t0 = _lap(timings, "data", t0)
-    plan = partition(obs.n, K, master_seed)
+    # the plan reads only (n, K, seed), never the data, so a helper thread
+    # deals it while this one draws the data; each side has its own stream
+    # and arrays, and numpy releases the GIL in both.  A data error is
+    # raised first, and no helper outlives the call.
+    dealt: list = []
+
+    def deal():
+        try:
+            dealt.append(partition(cfg.n, K, master_seed))
+        except BaseException as exc:  # noqa: BLE001 - raised on this thread below
+            dealt.append(exc)
+
+    helper = threading.Thread(target=deal, name=f"pie-partition-{master_seed}")
+    helper.start()
+    try:
+        obs = _dataset(cfg, master_seed)
+        t0 = _lap(timings, "data", t0)
+    finally:
+        helper.join()
     t0 = _lap(timings, "partition", t0)
+    plan = dealt[0]
+    if isinstance(plan, BaseException):
+        raise plan
     shard_draws = _sample_all_shards(cfg, obs, plan, master_seed)
     t0 = _lap(timings, "sample", t0)
 

@@ -234,6 +234,21 @@ def test_aliasing_seeds_exit_code(tmp_path):
     assert not (tmp_path / "never").exists()
 
 
+def test_simulate_aliasing_seed_exit_code(tmp_path):
+    # -1 would draw the stream of 2**64 - 1, and 2**64 that of 0
+    base = ["simulate", "--family", "poisson", "--n", "20", "--theta0", "3"]
+    for seed in (-1, 2 ** 64):
+        out = tmp_path / f"never{seed}.csv"
+        result = CliRunner().invoke(main, base + ["--seed", str(seed), "--out", str(out)])
+        assert result.exit_code == 2, (seed, result.output, result.exception)
+        assert "seeds must lie in [0, 2**64)" in result.output
+        assert not out.exists()
+    out = tmp_path / "last.csv"
+    result = CliRunner().invoke(main, base + ["--seed", str(2 ** 64 - 1), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert load_csv(out).n == 20
+
+
 def test_data_error_exit_code(tmp_path):
     cfg = write_config(tmp_path / "cfg.yaml",
                        data={"source": "csv", "path": str(tmp_path / "nope.csv")})

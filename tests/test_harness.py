@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from pie import (
     ConfigError,
     DataError,
     ExperimentConfig,
+    NumericError,
     ExperimentReport,
     LinearFunctional,
     ModelSpec,
@@ -41,6 +43,7 @@ from pie import (
     w2_from_tables,
 )
 from pie import rng as pie_rng
+from pie import runner as pie_runner
 from pie.cli import main
 from pie.config import KEYS, SECTIONS
 from pie.data import read_json
@@ -497,6 +500,85 @@ class TestRunExperiment:
             intervals = report.seed_results[0].intervals
             assert len(intervals) == 8
             assert all(e["lower"] <= e["upper"] for e in intervals), name
+
+
+class TestPartitionHelper:
+    """Each seed deals its plan on one helper thread while the data are drawn."""
+
+    @staticmethod
+    def report_bytes(cfg, out) -> dict:
+        emit_report(run_experiment(cfg), out)
+        return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
+                if p.is_file() and p.name != "timings.json"}
+
+    def test_fast_switching_writes_the_same_bytes(self, tmp_path):
+        cfg = poisson_config(n=200_000, K=10, seeds=[0, 1, 2])
+        before = threading.active_count()
+        plain = self.report_bytes(cfg, tmp_path / "plain")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            switched = self.report_bytes(cfg, tmp_path / "switched")
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(plain) == 8 and switched == plain
+        assert threading.active_count() == before
+
+    def test_one_helper_per_seed(self, monkeypatch):
+        threads = []
+
+        def recording(n, K, seed):
+            threads.append(threading.current_thread())
+            return partition(n, K, seed)
+
+        monkeypatch.setattr(pie_runner, "partition", recording)
+        before = threading.active_count()
+        run_experiment(poisson_config(seeds=[0, 1, 2]))
+        assert len(set(threads)) == 3 and threading.main_thread() not in threads
+        assert threading.active_count() == before
+
+    def test_data_error_still_exits_3(self, tmp_path):
+        data = tmp_path / "obs.csv"
+        data.write_text("y\n1\n2\n3\n", encoding="utf-8")
+        before = threading.active_count()
+        result = CliRunner().invoke(main, [
+            "run", "--set", "model.family=poisson-gamma", "--set", "data.source=csv",
+            "--set", f"data.path={data}", "--n", "100", "-K", "4",
+            "--out", str(tmp_path / "never")])
+        assert result.exit_code == 3, (result.output, result.exception)
+        assert "config says n=100 but" in result.output
+        assert not (tmp_path / "never").exists()
+        assert threading.active_count() == before
+
+    def test_partition_error_surfaces_with_its_type(self, monkeypatch, tmp_path):
+        class Undealt(RuntimeError):
+            pass
+
+        def failing(n, K, seed):
+            raise Undealt("no plan")
+
+        monkeypatch.setattr(pie_runner, "partition", failing)
+        before = threading.active_count()
+        with pytest.raises(Undealt, match="no plan"):
+            run_experiment(poisson_config())
+        assert threading.active_count() == before
+        # the data error is raised first when both sides fail
+        data = tmp_path / "obs.csv"
+        data.write_text("y\n1\n2\n3\n", encoding="utf-8")
+        with pytest.raises(DataError, match="config says n=600 but"):
+            run_experiment(poisson_config(data_source="csv", data_path=str(data)))
+        assert threading.active_count() == before
+
+        def numeric(n, K, seed):
+            raise NumericError("no plan")
+
+        monkeypatch.setattr(pie_runner, "partition", numeric)
+        result = CliRunner().invoke(main, [
+            "run", "--set", "model.family=poisson-gamma", "--set", "data.true_theta=3",
+            "--n", "100", "-K", "4", "--out", str(tmp_path / "never")])
+        assert result.exit_code == 4, (result.output, result.exception)
+        assert not (tmp_path / "never").exists()
+        assert threading.active_count() == before
 
 
 def test_perfbench_tracer_finds_every_name_it_patches(monkeypatch):

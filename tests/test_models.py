@@ -87,11 +87,26 @@ class TestPartition:
             "K > n": dict(K=5, order=[0, 1, 2, 3]),
             "empty": dict(K=1, order=[]),
             "2-d": dict(K=1, order=[[0, 1], [2, 3]]),
+            # a cast would truncate these into the permutations [0, 1, 2, 3] and [1, 0]
+            "float order": dict(K=2, order=[0.0, 1.5, 2.9, 3.2]),
+            "bool order": dict(K=2, order=[True, False]),
+            # int32 would wrap 2**32 + 3 into the valid index 3
+            "wraps in int32": dict(K=2, order=np.array([0, 1, 2, 2 ** 32 + 3])),
         }
         for case, kwargs in bad.items():
             with pytest.raises(ConfigError):
                 PartitionPlan(**kwargs)
                 pytest.fail(case)
+
+    def test_plan_holds_int32(self):
+        assert partition(1000, 7, 3).order.dtype == np.int32
+        for dtype in (np.int8, np.uint64, np.int64):
+            plan = PartitionPlan(K=2, order=np.array([0, 1, 2, 3], dtype=dtype))
+            assert plan.order.dtype == np.int32
+            assert plan.shard_indices(1).tolist() == [1, 3]
+        # refused before anything of size n is allocated
+        with pytest.raises(ConfigError, match="below 2\\*\\*31"):
+            partition(2 ** 31, 2, 0)
 
     def test_plan_is_read_only(self):
         order = np.array([0, 1, 2, 3])
