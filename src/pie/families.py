@@ -5,7 +5,8 @@ shard's likelihood to the power ``temper`` = n / m_j multiplies the shard's
 additive sufficient statistics by ``temper`` before they meet the prior.
 One object per family below owns everything that depends on the family:
 hyperparameter validation, the config keys it reads and their defaults,
-the data support check, the sufficient statistics, the tempered update,
+the check of a shard's support and design width (an ``ObservationSet``
+holds every other data rule), the sufficient statistics, the tempered update,
 exact draws from a given generator, the log kernel of the updated law, the
 prior mean, and the name of the simulation family its data come from; a
 scalar family also checks a true parameter and draws data at it.
@@ -86,17 +87,17 @@ class _Family:
 
     regression = False
 
-    def posterior(self, hyper: dict, y, Z, temper):
-        """Validated tempered conjugate update for one shard's raw data."""
+    def posterior(self, hyper: dict, data, temper):
+        """Validated tempered conjugate update for one shard's ``ObservationSet``."""
         h = self.hyperparameters(hyper)
-        y, Z = self.check(h, y, Z)
-        return self.update(self.stats(y, Z), check_temper(temper), h)
+        self.check(h, data)
+        return self.update(self.stats(data.responses, data.design), check_temper(temper), h)
 
     def log_base_measure(self, y, Z=None) -> float:
         """Log of the likelihood's factor free of the parameter."""
         return 0.0
 
-    def log_kernel(self, h, y, Z, temper):
+    def log_kernel(self, h, data, temper):
         """``temper * loglik(theta) + logprior(theta)`` for checked shard data.
 
         Tempering the likelihood and multiplying by the prior is the
@@ -104,6 +105,7 @@ class _Family:
         constant: the prior's log normaliser minus ``temper`` times the
         likelihood's log base measure.
         """
+        y, Z = data.responses, data.design
         post = self.update(self.stats(y, Z), temper, h)
         c = self.log_prior_normaliser(h) - temper * self.log_base_measure(y, Z)
         return self.posterior_log_kernel(post, c)
@@ -128,15 +130,9 @@ class _ScalarFamily(_Family):
         default)`` removes a dotted key from it and returns its value."""
         return {"a": take("model.a", 1.0), "b": take("model.b", 1.0)}, 1
 
-    def check(self, h, y, Z=None):
-        y = np.asarray(y, dtype=float).ravel()
-        if y.size == 0:
-            raise DataError("empty shard")
-        if not np.all(np.isfinite(y)):
-            raise DataError("shard contains non-finite values")
-        if self.outside_support(y):
+    def check(self, h, data):
+        if self.outside_support(data.responses):
             raise DataError(f"{self.name} shard must {self.support}")
-        return y, Z
 
     def update(self, stats, temper, h) -> tuple[float, float]:
         u, v = stats
@@ -289,18 +285,11 @@ class NormalLinearNIG(_Family):
         return {"a": take("model.a", 6.0), "b": take("model.b", 2.0),
                 "mu_star": take("model.mu_star", [0.0] * p), "omega": omega}, p + 1
 
-    def check(self, h, y, Z):
-        if Z is None:
+    def check(self, h, data):
+        if data.design is None:
             raise ConfigError("normal-linear-nig requires a design matrix")
-        y = np.asarray(y, dtype=float).ravel()
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        if y.size == 0:
-            raise DataError("empty shard")
-        if Z.shape[0] != y.size:
-            raise ConfigError(f"design has {Z.shape[0]} rows for {y.size} responses")
-        if Z.shape[1] != h["mu_star"].size:
+        if data.p != h["mu_star"].size:
             raise ConfigError("mu_star and omega must match the design dimension")
-        return y, Z
 
     def stats(self, y, Z):
         # summed over blocks of _STATS_ROWS rows: OpenBLAS hands a longer dot

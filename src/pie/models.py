@@ -67,7 +67,10 @@ class ObservationSet:
 
     def take(self, indices) -> "ObservationSet":
         """Return the subset of observations at the given row indices."""
-        idx = np.asarray(indices, dtype=int)
+        idx = np.asarray(indices)
+        # a cast would truncate floats and read bools as positions 0 and 1
+        if idx.dtype.kind not in "iu":
+            raise ConfigError(f"indices must hold integers, got dtype {idx.dtype}")
         design = None if self.design is None else self.design[idx]
         return ObservationSet(self.responses[idx], design, dict(self.meta))
 
@@ -256,8 +259,8 @@ class TemperedTarget:
             kernel = self._custom_log_density
         else:
             h = self.model.hyperparameters
-            y, Z = conjugate.check(h, self.shard_data.responses, self.shard_data.design)
-            kernel = conjugate.log_kernel(h, y, Z, self.temper)
+            conjugate.check(h, self.shard_data)
+            kernel = conjugate.log_kernel(h, self.shard_data, self.temper)
         object.__setattr__(self, "log_kernel", kernel)
 
     def _custom_log_density(self, theta) -> float:

@@ -120,7 +120,7 @@ def _dataset(cfg: ExperimentConfig, seed: int) -> ObservationSet:
 def _exact_draws(cfg: ExperimentConfig, data: ObservationSet, temper: float,
                  T: int, seed: int, shard_id=None) -> DrawMatrix:
     family = CONJUGATE[cfg.model.family]
-    post = family.posterior(cfg.model.hyperparameters, data.responses, data.design, temper)
+    post = family.posterior(cfg.model.hyperparameters, data, temper)
     return _exact(family, post, T, seed, shard_id)
 
 

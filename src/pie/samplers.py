@@ -18,7 +18,7 @@ from . import rng
 from .errors import ConfigError, NumericError, check_count, coerce, real
 from .families import (BERNOULLI, EXPONENTIAL, LINEAR, POISSON, NormalLinearPosterior,
                        read_only)
-from .models import TemperedTarget
+from .models import ObservationSet, TemperedTarget
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,17 +93,17 @@ def _exact(family, post, T: int, seed: int, shard_id) -> DrawMatrix:
 
 def poisson_gamma_params(shard_y, temper, a, b) -> tuple[float, float]:
     """(shape, rate) of the tempered Poisson-count shard posterior."""
-    return POISSON.posterior({"a": a, "b": b}, shard_y, None, temper)
+    return POISSON.posterior({"a": a, "b": b}, ObservationSet(shard_y), temper)
 
 
 def exponential_gamma_params(shard_y, temper, a, b) -> tuple[float, float]:
     """(shape, rate) of the tempered exponential-rate shard posterior."""
-    return EXPONENTIAL.posterior({"a": a, "b": b}, shard_y, None, temper)
+    return EXPONENTIAL.posterior({"a": a, "b": b}, ObservationSet(shard_y), temper)
 
 
 def bernoulli_beta_params(shard_y, temper, a, b) -> tuple[float, float]:
     """(alpha, beta) of the tempered Bernoulli-probability shard posterior."""
-    return BERNOULLI.posterior({"a": a, "b": b}, shard_y, None, temper)
+    return BERNOULLI.posterior({"a": a, "b": b}, ObservationSet(shard_y), temper)
 
 
 def sample_poisson_gamma(shard_y, temper, a, b, T, seed, shard_id=None) -> DrawMatrix:
@@ -130,7 +130,7 @@ def normal_linear_nig_params(y, Z, temper, mu_star, omega, a, b) -> NormalLinear
     exact for any prior location, not only a centered one.
     """
     return LINEAR.posterior({"mu_star": mu_star, "omega": omega, "a": a, "b": b},
-                            y, Z, temper)
+                            ObservationSet(y, Z), temper)
 
 
 def sample_normal_linear_nig(y, Z, temper, mu_star, omega, a, b, T, seed,

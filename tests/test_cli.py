@@ -12,7 +12,7 @@ from pie.cli import main
 from pie.config import load_config
 from pie.data import (load_csv, read_quantile_table, simulate_linear, write_draws,
                       write_observations)
-from pie.errors import DataError
+from pie.errors import ConfigError, DataError
 
 
 def write_config(path, **extra):
@@ -219,6 +219,9 @@ def test_config_shape_exit_code(tmp_path):
         assert result.exit_code == 2, (path, result.output, result.exception)
         assert message in result.output
     assert not (tmp_path / "never").exists()
+    # click refuses a directory given to --config; load_config refuses it too
+    with pytest.raises(ConfigError, match="cannot read config"):
+        load_config(tmp_path)
 
 
 def test_aliasing_seeds_exit_code(tmp_path):
@@ -449,6 +452,13 @@ def test_metrics_on_samples(tmp_path):
     payload = json.loads(result.output)
     assert payload["accuracy"] > 0.9
     assert "bias" in payload and "variance" in payload
+    # --out writes the bytes stdout would print
+    out = tmp_path / "m.json"
+    written = CliRunner().invoke(main, ["metrics", "--samples-a", str(a), "--samples-b", str(b),
+                                        "--xi0", "0.0", "--out", str(out)])
+    assert written.exit_code == 0, written.output
+    assert written.output == f"wrote {out}\n"
+    assert out.read_text(encoding="utf-8") == result.output
 
 
 def test_file_faults_exit_code(tmp_path):
@@ -457,8 +467,23 @@ def test_file_faults_exit_code(tmp_path):
     empty_table, falling_table = tmp_path / "empty.csv", tmp_path / "falling.csv"
     empty_table.write_text("u,value\n", encoding="utf-8")
     falling_table.write_text("u,value\n0.25,2.0\n0.75,1.0\n", encoding="utf-8")
+    misnamed, header_only, no_draws = (tmp_path / name for name in
+                                       ("misnamed.csv", "header.csv", "draws.csv"))
+    misnamed.write_text("y,x2\n1.0,2.0\n", encoding="utf-8")
+    header_only.write_text("y\n", encoding="utf-8")
+    no_draws.write_text("theta1\n", encoding="utf-8")
+
+    def run_on(csv_path):
+        cfg = write_config(tmp_path / f"{csv_path.stem}.yaml",
+                           data={"source": "csv", "path": str(csv_path)})
+        return ["run", "--config", str(cfg), "--out", str(tmp_path / "never")]
+
     missing = tmp_path / "missing"
     cases = [
+        (run_on(misnamed), f"{misnamed}: design columns must be x1..x1"),
+        (run_on(header_only), f"{header_only}: no data rows"),
+        (["combine", str(no_draws), "--out", str(tmp_path / "never.csv")],
+         f"{no_draws}: no draws"),
         (["simulate", "--family", "poisson", "--n", "5", "--theta0", "1",
           "--out", str(missing / "x.csv")], missing / "x.csv"),
         (["combine", str(draws), "--out", str(missing / "x.csv")], missing / "x.csv"),
@@ -475,6 +500,7 @@ def test_file_faults_exit_code(tmp_path):
         assert isinstance(result.exception, SystemExit), args
         assert str(named) in result.output, (args, result.output)
         assert "Traceback" not in result.output
+    assert not (tmp_path / "never").exists() and not (tmp_path / "never.csv").exists()
 
 
 def test_report_malformed_run_dir_exit_code(tmp_path):
@@ -501,3 +527,16 @@ def test_report_malformed_run_dir_exit_code(tmp_path):
         assert isinstance(result.exception, SystemExit)
         assert named in result.output, result.output
         assert result.stdout == "", (run_dir, result.stdout)
+
+
+def test_usage_refusals_exit_code(tmp_path):
+    cases = [(["simulate", "--family", "poisson", "--n", "5", "--out", str(tmp_path / "s.csv")],
+              "--theta0 is required"),
+             (["run", "--set", "foo"], "--set expects KEY=VALUE, got 'foo'"),
+             (["metrics"], "provide --table-a/--table-b or --samples-a/--samples-b")]
+    for args, message in cases:
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2, (args, result.output, result.exception)
+        assert message in result.output, (args, result.output)
+    assert not (tmp_path / "s.csv").exists()
+

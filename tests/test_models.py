@@ -335,6 +335,16 @@ class TestTypes:
         sub = obs.take([2, 0])
         assert sub.responses.tolist() == [3.0, 1.0]
         assert sub.design[:, 0].tolist() == [3.0, 1.0]
+        # a shard's int32 hand gives the rows the equal int64 array gives
+        hand = obs.take(np.array([2, 0], dtype=np.int32))
+        assert hand.responses.tolist() == sub.responses.tolist()
+        np.testing.assert_array_equal(hand.design, sub.design)
+
+    @pytest.mark.parametrize("indices", [[0.7, 1.9], [True, False]])
+    def test_take_refuses_non_integer_indices(self, indices):
+        # a float index would be truncated, a bool one read as positions 1 and 0
+        with pytest.raises(ConfigError, match="integers"):
+            ObservationSet([1.0, 2.0, 3.0]).take(indices)
 
     def test_modelspec_validation(self):
         with pytest.raises(ConfigError):

@@ -59,6 +59,16 @@ class TestConjugateParams:
         with pytest.raises(ConfigError):
             sample_poisson_gamma([1], 1.0, 1.0, 1.0, 0, seed=0)
 
+    def test_responses_read_as_an_observation_set(self):
+        # a 2-D response array is refused, not flattened into six counts
+        with pytest.raises(DataError, match="1-d"):
+            poisson_gamma_params(np.ones((2, 3)), 1.0, 1.0, 1.0)
+        with pytest.raises(DataError, match="non-finite"):
+            poisson_gamma_params([np.nan], 1.0, 1.0, 1.0)
+        # the data are checked before the hyperparameters
+        with pytest.raises(DataError):
+            poisson_gamma_params([np.nan], 1.0, -1.0, 1.0)
+
 
 class TestConjugateDraws:
     def test_poisson_mean_within_three_se(self):
@@ -190,6 +200,16 @@ class TestNormalLinear:
     def test_errors(self):
         with pytest.raises(ConfigError):
             normal_linear_nig_params([1.0], [[1.0]], 1.0, [0.0], [[1.0]], 4.0, 1.0)
+        with pytest.raises(ConfigError, match="requires a design matrix"):
+            normal_linear_nig_params([1.0], None, 1.0, [0.0], [[1.0]], 5.0, 1.0)
+        with pytest.raises(ConfigError, match="must match the design dimension"):
+            normal_linear_nig_params([1.0], [[1.0, 2.0]], 1.0, [0.0], [[1.0]], 5.0, 1.0)
+        # the design's rows are the data set's rule, so a mismatch is a data error
+        with pytest.raises(DataError, match="rows"):
+            normal_linear_nig_params([1.0, 2.0, 3.0], [[1.0], [2.0]], 1.0, [0.0], [[1.0]],
+                                     5.0, 1.0)
+        with pytest.raises(DataError):
+            normal_linear_nig_params([1.0, 2.0], [1.0, 2.0], 1.0, [0.0], [[1.0]], 5.0, 1.0)
         with pytest.raises(NumericError):
             # all-zero design with a huge flat prior: singular precision
             normal_linear_nig_params([1.0, 1.0], [[0.0], [0.0]], 1.0, [0.0],
