@@ -7,10 +7,9 @@ errors, and 4 for numeric failures.
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import click
@@ -36,19 +35,19 @@ from .metrics import accuracy, bias_variance_summary, quantile_gap, w2_from_tabl
 from .runner import INTERVALS_HEADER, emit_report, run_experiment
 
 
-def _exits_with_code(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+class _PieGroup(click.Group):
+    """The command group that maps a ``PieError`` from any subcommand to
+    ``error: ...`` on stderr and the error's exit code."""
+
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except PieError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(exc.exit_code)
 
-    return wrapper
 
-
-@click.group()
+@click.group(cls=_PieGroup)
 @click.version_option(version=__version__)
 def main():
     """Parallel subset-posterior sampling with quantile-averaged intervals."""
@@ -62,7 +61,6 @@ def main():
 @click.option("--p", "p", type=int, default=10, help="Design dimension (linear).")
 @click.option("--seed", type=int, default=0)
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-@_exits_with_code
 def simulate(family, n, theta0, p, seed, out):
     """Simulate a dataset and write it as CSV."""
     check_seeds([seed])
@@ -94,7 +92,6 @@ def simulate(family, n, theta0, p, seed, out):
               help="Accepted for compatibility; has no effect (shards are sampled "
                    "in order in one process).")
 @click.option("--overwrite/--no-overwrite", default=False, show_default=True)
-@_exits_with_code
 def run(config_path, assignments, mode, n, shards, seed, sampler, grid_size, out,
         workers, overwrite):
     """Run a configured experiment and emit its report files."""
@@ -124,7 +121,6 @@ def run(config_path, assignments, mode, n, shards, seed, sampler, grid_size, out
 @click.option("--alpha", type=float, default=None,
               help="Also report the credible interval at this level.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-@_exits_with_code
 def combine(draw_files, column, grid_size, alpha, out):
     """Average per-shard quantile tables computed from draw CSV files."""
     grid = default_grid(grid_size)
@@ -141,8 +137,7 @@ def combine(draw_files, column, grid_size, alpha, out):
     write_quantile_table(combined, out)
     click.echo(f"combined {len(tables)} shards into {out}")
     if est is not None:
-        click.echo(json.dumps({"alpha": est.alpha, "lower": est.lower,
-                               "upper": est.upper}))
+        click.echo(json.dumps(asdict(est)))
 
 
 @main.command()
@@ -156,7 +151,6 @@ def combine(draw_files, column, grid_size, alpha, out):
               help="True functional value, for the bias summary.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Write the JSON report here instead of stdout.")
-@_exits_with_code
 def metrics(table_a, table_b, samples_a, samples_b, u1, u2, xi0, out):
     """Compare two quantile tables and/or two sample files."""
     result = {}
@@ -184,20 +178,25 @@ def metrics(table_a, table_b, samples_a, samples_b, u1, u2, xi0, out):
 
 @main.command()
 @click.argument("run_dir", type=click.Path(exists=True, file_okay=False))
-@_exits_with_code
 def report(run_dir):
-    """Summarize an emitted run directory."""
+    """Summarize an emitted run directory: its metric cells, then the
+    intervals of each seed that ``metrics.json`` lists, in its order, or
+    without a ``metrics.json`` of every ``seed-*`` directory in numeric order."""
     run_dir = Path(run_dir)
     metrics_path = run_dir / "metrics.json"
     lines = []
+    # shorter names first puts seed-2 before seed-10: seeds are non-negative integers
+    paths = sorted(run_dir.glob("seed-*/intervals.csv"), key=lambda p: (len(str(p)), p))
     if metrics_path.exists():
         doc = read_json(metrics_path)
         cells = doc.get("cells") if isinstance(doc, dict) else None
         if not isinstance(cells, list):
             raise DataError(f"{metrics_path}: expected a 'cells' list")
         lines.append(f"{len(cells)} metric cells")
+        seed_dirs = {}  # each seed's directory once, in the order of the cells
         for cell in cells:
             try:
+                seed_dirs[f"seed-{cell['seed']:d}"] = None
                 parts = [f"seed={cell['seed']}", f"functional={cell['functional']}"]
                 for key in ("w2", "accuracy", "bias", "variance", "quantile_gap"):
                     value = cell.get(key)
@@ -206,7 +205,8 @@ def report(run_dir):
             except (TypeError, KeyError, ValueError):
                 raise DataError(f"{metrics_path}: malformed cell {cell!r}") from None
             lines.append("  " + " ".join(parts))
-    for intervals in sorted(run_dir.glob("seed-*/intervals.csv")):
+        paths = [run_dir / seed / "intervals.csv" for seed in seed_dirs]
+    for intervals in paths:
         _, _, (names,), values = _read_table(intervals, INTERVALS_HEADER, text_columns=1)
         lines.append(f"{intervals.parent.name}:")
         for name, (alpha, lower, upper) in zip(names, values):

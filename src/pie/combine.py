@@ -84,15 +84,16 @@ def _require_shared_grid(first: QuantileTable, *others: QuantileTable):
         raise ConfigError("quantile tables use different grids")
 
 
-def _order_statistics(sorted_draws: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """Rows of ``sorted_draws``, T draws sorted along axis 0, at the 1-based
-    index floor(T * u), clamped to [1, T], for each level u.
+def _order_statistics(draws: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Order statistics of ``draws``, T draws along axis 0, at the 1-based
+    index floor(T * u), clamped to [1, T], for each level u: the draws are
+    sorted along axis 0 once, and one row read per level.
 
     The floor rule would yield index zero for small ``T * u``; clamping to
     the minimum order statistic is the minimal consistent fix.
     """
-    T = sorted_draws.shape[0]
-    return sorted_draws[np.clip(np.floor(T * levels).astype(int), 1, T) - 1]
+    T = draws.shape[0]
+    return np.sort(draws, axis=0)[np.clip(np.floor(T * levels).astype(int), 1, T) - 1]
 
 
 def empirical_quantile(draws_1d, u: float) -> float:
@@ -107,7 +108,7 @@ def quantile_table(draws_1d, grid=None) -> QuantileTable:
     if draws.size == 0:
         raise DataError("empty draws")
     g = default_grid() if grid is None else _as_grid(grid)
-    return QuantileTable(grid=g, values=_order_statistics(np.sort(draws), g))
+    return QuantileTable(grid=g, values=_order_statistics(draws, g))
 
 
 def average_quantile_tables(tables: Sequence[QuantileTable]) -> QuantileTable:

@@ -104,7 +104,7 @@ def combine_multidim(subset_draws: Sequence[DrawMatrix], grid=None,
     if T_out < 1:
         raise ConfigError("T_out must be >= 1")
     # every coordinate's quantiles averaged in shard order: a G x d block
-    blocks = [_order_statistics(np.sort(dm.values, axis=0), g) for dm in whitened]
+    blocks = [_order_statistics(dm.values, g) for dm in whitened]
     combined = np.mean(np.stack(blocks), axis=0)
     out = np.empty((T_out, whitened[0].d))
     for c in range(out.shape[1]):

@@ -30,7 +30,6 @@ from . import __version__, rng
 # _order_statistics, scores every cell from two quantile tables, and
 # _exact_draws reaches every family through its object
 from .combine import (  # noqa: F401
-    IntervalEstimate,
     QuantileTable,
     _order_statistics,
     average_quantile_tables,
@@ -154,11 +153,6 @@ def _sample_all_shards(cfg, obs, plan, master_seed) -> list:
     return draws
 
 
-def _true_xi(cfg: ExperimentConfig, obs: ObservationSet, functional) -> Optional[float]:
-    theta0 = CONJUGATE[cfg.model.family].true_theta(cfg.true_theta, obs.meta)
-    return None if theta0 is None else float(functional.a @ theta0 + functional.b)
-
-
 def _lap(timings: dict, phase: str, t0: float) -> float:
     """Add the time since ``t0`` to ``timings[phase]``; return the time now."""
     timings[phase] = timings.get(phase, 0.0) + (now := time.perf_counter()) - t0
@@ -167,9 +161,9 @@ def _lap(timings: dict, phase: str, t0: float) -> float:
 
 def _quantile_rows(functionals: list, dm: DrawMatrix, levels: np.ndarray) -> np.ndarray:
     """Each functional's quantiles of the draws at ``levels``, one column per
-    functional, read off one T x F block sorted once."""
+    functional, read off one T x F block."""
     columns = [apply_functional(functional, dm) for functional in functionals]
-    return _order_statistics(np.sort(np.column_stack(columns), axis=0), levels)
+    return _order_statistics(np.column_stack(columns), levels)
 
 
 def _run_seed(cfg: ExperimentConfig, master_seed: int, timings: dict) -> SeedResult:
@@ -220,13 +214,13 @@ def _run_seed(cfg: ExperimentConfig, master_seed: int, timings: dict) -> SeedRes
     tables = {f"f{i}": {source: QuantileTable(grid=grid, values=r[:grid.size, i])
                         for source, r in rows.items()}
               for i in range(len(cfg.functionals))}
+    # lower <= upper by construction: the floor-rule index does not decrease
+    # with the level, and every source's rows are read off sorted draws
     ends = rows["combined"][grid.size:].reshape(-1, 2, len(tables))
-    intervals: list = []
-    for i, name in enumerate(tables):
-        for alpha, (lower, upper) in zip(cfg.alpha_levels, ends[:, :, i]):
-            est = IntervalEstimate(alpha=alpha, lower=float(lower), upper=float(upper))
-            intervals.append({"functional": name, "alpha": alpha,
-                              "lower": est.lower, "upper": est.upper})
+    intervals = [{"functional": name, "alpha": alpha, "lower": float(lower),
+                  "upper": float(upper)}
+                 for i, name in enumerate(tables)
+                 for alpha, (lower, upper) in zip(cfg.alpha_levels, ends[:, :, i])]
     t0 = _lap(timings, "combine", t0)
 
     oracle = _exact_draws(cfg, obs, 1.0, cfg.chain.retained,
@@ -234,12 +228,13 @@ def _run_seed(cfg: ExperimentConfig, master_seed: int, timings: dict) -> SeedRes
     oracle_rows = _quantile_rows(cfg.functionals, oracle, levels)
     # every cell compares the combined table with the oracle's: each table's
     # values are equally weighted atoms of its law, in every mode
+    theta0 = CONJUGATE[cfg.model.family].true_theta(cfg.true_theta, obs.meta)
     cells = []
     for idx, (name, functional) in enumerate(zip(tables, cfg.functionals)):
         combined_table = tables[name]["combined"]
         oracle_table = QuantileTable(grid=grid, values=oracle_rows[:grid.size, idx])
         mean, variance = table_moments(combined_table)
-        xi0 = _true_xi(cfg, obs, functional)
+        xi0 = None if theta0 is None else float(functional.a @ theta0 + functional.b)
         cells.append({
             "seed": master_seed,
             "functional": name,

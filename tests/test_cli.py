@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ from pie.cli import main
 from pie.config import load_config
 from pie.data import (load_csv, read_quantile_table, simulate_linear, write_draws,
                       write_observations)
-from pie.errors import ConfigError, DataError
+from pie.errors import ConfigError, DataError, NumericError
 
 
 def write_config(path, **extra):
@@ -507,7 +508,8 @@ def test_report_malformed_run_dir_exit_code(tmp_path):
     cases = []
     for i, text in enumerate(['{"cells": [', '{"cells": [1]}', '{"cells": {}}', '[]',
                               '{"cells": [{"seed": 0, "functional": "f0", "w2": "x"}]}',
-                              '{"cells": [{"seed": 0, "functional": "f0", "w2": NaN}]}']):
+                              '{"cells": [{"seed": 0, "functional": "f0", "w2": NaN}]}',
+                              '{"cells": [{"seed": "0", "functional": "f0"}]}']):
         run_dir = tmp_path / f"metrics-{i}"
         run_dir.mkdir()
         (run_dir / "metrics.json").write_text(text, encoding="utf-8")
@@ -540,3 +542,60 @@ def test_usage_refusals_exit_code(tmp_path):
         assert message in result.output, (args, result.output)
     assert not (tmp_path / "s.csv").exists()
 
+
+
+def test_report_lists_the_seeds_of_its_metrics(tmp_path):
+    out_dir = tmp_path / "out"
+    args = ["run", "--set", "model.family=poisson-gamma", "--set", "data.true_theta=3",
+            "--n", "200", "-K", "2", "--set", "seeds=[1,10,2]", "--out", str(out_dir)]
+    for extra in ([], ["--seed", "7", "--overwrite"]):
+        result = CliRunner().invoke(main, args + extra)
+        assert result.exit_code == 0, result.output
+
+    def seed_headers():
+        result = CliRunner().invoke(main, ["report", str(out_dir)])
+        assert result.exit_code == 0, result.output
+        return [line for line in result.output.splitlines() if line.startswith("seed-")]
+
+    # --overwrite replaced metrics.json but left the first run's seed directories
+    assert sorted(p.name for p in out_dir.glob("seed-*")) == [
+        "seed-1", "seed-10", "seed-2", "seed-7"]
+    assert seed_headers() == ["seed-7:"]
+    (out_dir / "metrics.json").unlink()
+    assert seed_headers() == ["seed-1:", "seed-2:", "seed-7:", "seed-10:"]
+
+
+def test_every_command_maps_its_error_to_an_exit_code():
+    @main.command("fail-numerically")
+    def fail_numerically():
+        raise NumericError("the test's own failure")
+
+    try:
+        result = CliRunner().invoke(main, ["fail-numerically"])
+    finally:
+        del main.commands["fail-numerically"]
+    assert result.exit_code == 4, (result.output, result.exception)
+    assert isinstance(result.exception, SystemExit)
+    assert "error: the test's own failure" in result.output
+
+
+def test_exit_codes_in_a_subprocess(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    csv = tmp_path / "y.csv"
+    csv.write_text("y\n" + "1\n" * 50, encoding="utf-8")
+    run = [sys.executable, "-m", "pie.cli", "run", "--set", "model.family=poisson-gamma",
+           "--set", "data.true_theta=3"]
+    cases = [(["--n", "0"], 2, "n must lie in"),
+             (["--n", "60", "--set", "data.source=csv", "--set", f"data.path={csv}"], 3,
+              "has 50 rows"),
+             (["--n", "100", "--sampler", "metropolis",
+               "--set", "chain.proposal_scale=1e300"], 4, "zero spread")]
+    for extra, code, message in cases:
+        out = tmp_path / f"out-{code}"
+        result = subprocess.run([*run, *extra, "--out", str(out)], capture_output=True,
+                                text=True, timeout=120, cwd=tmp_path,
+                                env={**os.environ, "PYTHONPATH": src})
+        assert result.returncode == code, (extra, result.stderr)
+        assert result.stderr.startswith("error: "), (extra, result.stderr)
+        assert message in result.stderr and "Traceback" not in result.stderr
+        assert not out.exists()

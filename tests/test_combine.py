@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from pie import (
     ConfigError,
@@ -18,11 +19,19 @@ from pie import (
     default_grid,
     empirical_quantile,
     gaussian_barycenter,
+    normal_linear_nig_params,
+    partition,
     pie_interval,
+    poisson_gamma_params,
     quantile_table,
+    rate_fit,
     sample_from_table,
+    simulate_linear,
+    simulate_univariate,
+    table_moments,
     w2_from_tables,
 )
+from pie.combine import _order_statistics
 from oracles import normal_quantile
 
 
@@ -63,6 +72,18 @@ class TestQuantileTable:
         t1 = quantile_table(draws)
         t2 = quantile_table(g.permutation(draws))
         assert np.array_equal(t1.values, t2.values)
+
+    def test_order_statistics_sort_each_column(self):
+        g = np.random.default_rng(2)
+        block = np.sort(g.standard_normal((300, 4)), axis=0)
+        shuffled = g.permuted(block, axis=0)  # each column shuffled on its own
+        assert not np.array_equal(shuffled, block)
+        levels = np.concatenate([default_grid(99), [0.001, 0.025, 0.975, 0.999]])
+        rows = _order_statistics(shuffled, levels)
+        assert rows.tobytes() == _order_statistics(block, levels).tobytes()
+        for c in range(block.shape[1]):
+            table = quantile_table(shuffled[:, c], levels[:99])
+            assert np.array_equal(rows[:99, c], table.values)
 
     def test_monotone_validation(self):
         with pytest.raises(ConfigError):
@@ -278,3 +299,79 @@ class TestSampleFromTable:
         draws = sample_from_table(table, 50000, np.random.default_rng(10))
         assert abs(np.mean(draws)) < 0.02
         assert abs(np.std(draws) - 1.0) < 0.02
+
+
+class TestMethodError:
+    """The barycenter's own error, with no sampling: each shard's tempered law
+    is read exactly on the grid, the shard tables averaged, and the result
+    scored against the exact full posterior, in posterior sd."""
+
+    K = 10
+    NS = (10 ** 4, 10 ** 5, 10 ** 6)
+    SEEDS = (0, 1)
+    GRID = default_grid(999)
+
+    def _score(self, shard_laws, full_law):
+        """W2 and mean shift of the averaged shard laws from ``full_law``,
+        each a frozen scipy distribution, in units of the full law's sd."""
+        tables = [QuantileTable(self.GRID, law.ppf(self.GRID)) for law in shard_laws]
+        bary = average_quantile_tables(tables)
+        full = QuantileTable(self.GRID, full_law.ppf(self.GRID))
+        sd = full_law.std()
+        shift = table_moments(bary)[0] - table_moments(full)[0]
+        return w2_from_tables(bary, full) / sd, shift / sd
+
+    def _shards(self, n, seed):
+        plan = partition(n, self.K, seed)
+        return [plan.shard_indices(j) for j in range(self.K)]
+
+    def test_poisson_rate_error_falls_like_one_over_n(self):
+        def law(y, temper):
+            shape, rate = poisson_gamma_params(y, temper, 1.0, 1.0)
+            return stats.gamma(shape, scale=1.0 / rate)
+
+        errors = []
+        for n in self.NS:
+            w2s = []
+            for seed in self.SEEDS:
+                y = simulate_univariate("poisson", 3.0, n, seed).responses
+                shards = [law(y[idx], n / idx.size) for idx in self._shards(n, seed)]
+                w2s.append(self._score(shards, law(y, 1.0))[0])
+            errors.append(np.mean(w2s))
+        assert errors[0] > errors[1] > errors[2], errors
+        assert rate_fit(self.NS, errors).slope <= -0.8, errors
+
+    def test_linear_errors_fall_and_noise_variance_is_biased_low(self):
+        p = 3
+        prior = (np.zeros(p), 100.0 * np.eye(p), 6.0, 2.0)
+
+        def laws(y, Z, temper):
+            post = normal_linear_nig_params(y, Z, temper, *prior)
+            scale2 = post.noise_rate / post.noise_shape * np.linalg.inv(post.coef_precision)
+            return (stats.t(2.0 * post.noise_shape, post.coef_location[0],
+                            math.sqrt(scale2[0, 0])),
+                    stats.invgamma(post.noise_shape, scale=post.noise_rate))
+
+        coef, noise, shifts = [], [], []
+        for n in self.NS:
+            scores = []
+            for seed in self.SEEDS:
+                obs = simulate_linear(n, p, seed)
+                y, Z = obs.responses, obs.design
+                shards = [laws(y[idx], Z[idx], n / idx.size) for idx in self._shards(n, seed)]
+                full = laws(y, Z, 1.0)
+                scores.append([*self._score([s[0] for s in shards], full[0]),
+                               *self._score([s[1] for s in shards], full[1])])
+            w2_coef, _, w2_noise, shift = np.mean(scores, axis=0)
+            coef.append(w2_coef)
+            noise.append(w2_noise)
+            shifts.append(shift)
+        assert coef[0] > coef[1] > coef[2] and noise[0] > noise[1] > noise[2], (coef, noise)
+        # measured slopes -0.35 and -0.50
+        assert rate_fit(self.NS, coef).slope <= -0.25, coef
+        assert rate_fit(self.NS, noise).slope <= -0.4, noise
+        # each shard's residual sum of squares has m - p degrees of freedom and
+        # tempering scales it by n / m: the mean falls p (K - 1) / sqrt(2 n) sd low
+        for n, shift in zip(self.NS, shifts):
+            predicted = -p * (self.K - 1) / math.sqrt(2.0 * n)
+            assert 0.5 <= shift / predicted <= 1.5, (n, shift, predicted)
