@@ -88,6 +88,12 @@ class ExperimentConfig:
         if self.model.family not in CONJUGATE:
             raise ConfigError(f"config-driven runs support families {tuple(CONJUGATE)}")
         family = CONJUGATE[self.model.family]
+        if self.true_theta is not None and not math.isfinite(self.true_theta):
+            raise ConfigError(f"data.true_theta must be finite, got {self.true_theta!r}")
+        if self.data_source == "simulate" and not family.regression:
+            if self.true_theta is None:
+                raise ConfigError("simulated univariate data requires data.true_theta")
+            family.check_theta0(self.true_theta)
         if family.regression:
             check_count(self.n * (self.model.parameter_dim - 1), "design size n * data.p")
         if self.sampler == "metropolis":
@@ -103,9 +109,7 @@ class ExperimentConfig:
                                   "and model.b)")
         for f in self.functionals:
             if f.a.size != self.model.parameter_dim:
-                raise ConfigError(
-                    "functional dimension does not match the model parameter"
-                )
+                raise ConfigError("functional dimension does not match the model parameter")
         # one seed holds every shard's retained draws and the oracle's, and per
         # functional a quantile table for each shard, the combination and the oracle
         K = 1 if self.mode == "full-oracle" else self.K

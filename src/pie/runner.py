@@ -3,7 +3,8 @@
 Shards are sampled one after another in shard order; every shard's stream
 is keyed by (master seed, shard id), so a report depends only on the
 configuration.  Each seed's partition, a pure function of (n, K, seed), is
-dealt on one helper thread while the data are drawn.  Combining and metrics run once every shard is sampled.
+dealt on one helper thread while the data are drawn.  Combining and
+metrics run once every shard is sampled.
 Any shard failure aborts the whole combine; partial results are never
 emitted.
 """
@@ -12,8 +13,8 @@ from __future__ import annotations
 
 import os
 import platform
+import re
 import tempfile
-import threading
 import time
 from dataclasses import dataclass, replace
 from functools import partial
@@ -62,6 +63,8 @@ INTERVALS_HEADER = ["functional", "alpha", "lower", "upper"]
 # libyaml's emitter writes the same bytes as the pure-Python SafeDumper, which
 # is kept for a PyYAML built without libyaml
 YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+# a file that emit_report writes under a seed directory
+SEED_FILE = re.compile(r"seed-(0|[1-9][0-9]*)/(quantiles|intervals|draws)\.csv")
 
 
 @dataclass
@@ -103,16 +106,12 @@ def _dataset(cfg: ExperimentConfig, seed: int) -> ObservationSet:
     if cfg.data_source == "csv":
         obs = load_csv(cfg.data_path)
         if obs.n != cfg.n:
-            raise DataError(
-                f"config says n={cfg.n} but {cfg.data_path} has {obs.n} rows"
-            )
+            raise DataError(f"config says n={cfg.n} but {cfg.data_path} has {obs.n} rows")
         if family.regression and obs.p != cfg.model.parameter_dim - 1:
             raise DataError("csv design dimension does not match the model")
         return obs
     if family.regression:
         return simulate_linear(cfg.n, cfg.model.parameter_dim - 1, seed)
-    if cfg.true_theta is None:
-        raise ConfigError("simulated univariate data requires data.true_theta")
     return simulate_univariate(family.simulate, cfg.true_theta, cfg.n, seed)
 
 
@@ -175,27 +174,17 @@ def _run_seed(cfg: ExperimentConfig, master_seed: int, timings: dict) -> SeedRes
     t0 = time.perf_counter()
     # the plan reads only (n, K, seed), never the data, so a helper thread
     # deals it while this one draws the data; each side has its own stream
-    # and arrays, and numpy releases the GIL in both.  A data error is
-    # raised first, and no helper outlives the call.
-    dealt: list = []
-
-    def deal():
-        try:
-            dealt.append(partition(cfg.n, K, master_seed))
-        except BaseException as exc:  # noqa: BLE001 - raised on this thread below
-            dealt.append(exc)
-
-    helper = threading.Thread(target=deal, name=f"pie-partition-{master_seed}")
-    helper.start()
-    try:
+    # and arrays, and numpy releases the GIL in both.  Leaving the block joins
+    # the helper, so a data error is raised first and no helper outlives the
+    # call.  Imported here, as format_numbers imports orjson, so that
+    # importing pie loads none of it.
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(1, f"pie-partition-{master_seed}") as helper:
+        dealt = helper.submit(partition, cfg.n, K, master_seed)
         obs = _dataset(cfg, master_seed)
         t0 = _lap(timings, "data", t0)
-    finally:
-        helper.join()
+        plan = dealt.result()
     t0 = _lap(timings, "partition", t0)
-    plan = dealt[0]
-    if isinstance(plan, BaseException):
-        raise plan
     shard_draws = _sample_all_shards(cfg, obs, plan, master_seed)
     t0 = _lap(timings, "sample", t0)
 
@@ -331,7 +320,9 @@ def emit_report(report: ExperimentReport, out_dir, overwrite: bool = False) -> l
 
     The files are first written to a staging directory inside ``out_dir``
     and only then moved into place, so a failed write leaves no partial
-    report behind.
+    report behind.  With ``overwrite``, an earlier report's seed files that
+    this report does not write are then deleted, and so is each seed
+    directory they leave empty; no other file is touched.
     """
     out = Path(out_dir)
     files = _report_files(report)
@@ -354,6 +345,14 @@ def emit_report(report: ExperimentReport, out_dir, overwrite: bool = False) -> l
                 target.parent.mkdir(exist_ok=True)
             for rel, target in zip(files, targets):
                 os.replace(stage / rel, target)
+        if overwrite:
+            # an earlier report's seed files that this one did not write go,
+            # and so does each seed directory they leave empty
+            for path in set(out.glob("seed-*/*.csv")) - set(targets):
+                if SEED_FILE.fullmatch(path.relative_to(out).as_posix()) and path.is_file():
+                    path.unlink()
+                    if not any(path.parent.iterdir()):
+                        path.parent.rmdir()
     except (OSError, DataError) as exc:
         raise DataError(f"failed writing report under {out}: {exc}") from None
     return targets

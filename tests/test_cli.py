@@ -200,6 +200,19 @@ def test_simulation_parameter_faults_exit_code(tmp_path):
     assert not (tmp_path / "never").exists() and not (tmp_path / "never.csv").exists()
 
 
+def test_non_finite_true_theta_of_csv_data_exit_code(tmp_path):
+    # refused when the config is built, before any data are read or sampled
+    data = tmp_path / "obs.csv"
+    data.write_text("y\n" + "".join(f"{i % 5}\n" for i in range(200)), encoding="utf-8")
+    result = CliRunner().invoke(main, [
+        "run", "--set", "model.family=poisson-gamma", "--set", "data.source=csv",
+        "--set", f"data.path={data}", "--set", "data.true_theta=.inf", "--n", "200",
+        "-K", "2", "--out", str(tmp_path / "never")])
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert "data.true_theta must be finite" in result.output
+    assert not (tmp_path / "never").exists()
+
+
 def test_invalid_yaml_exit_code(tmp_path):
     path = tmp_path / "broken.yaml"
     path.write_text("model: {family: poisson-gamma\n", encoding="utf-8")
@@ -286,6 +299,36 @@ def test_overwrite_refusal_exit_code(tmp_path):
     assert runner.invoke(main, ["run", "--config", str(cfg), "--out", out_dir]).exit_code == 2
     assert runner.invoke(main, ["run", "--config", str(cfg), "--out", out_dir,
                                 "--overwrite"]).exit_code == 0
+
+
+def test_overwrite_removes_the_earlier_reports_seed_files(tmp_path):
+    out_dir = tmp_path / "st"
+    args = ["run", "--set", "model.family=normal-linear-nig", "--set", "data.p=2",
+            "--n", "300", "-K", "2", "--out", str(out_dir)]
+
+    def run(*extra):
+        result = CliRunner().invoke(main, args + list(extra))
+        assert result.exit_code == 0, (result.output, result.exception)
+
+    def files():
+        return sorted(p.relative_to(out_dir).as_posix() for p in out_dir.rglob("*"))
+
+    run("--mode", "multidim")
+    (out_dir / "notes.txt").write_text("kept", encoding="utf-8")
+    (out_dir / "seed-0" / "notes.txt").write_text("kept", encoding="utf-8")
+    run("--mode", "pie", "--overwrite")
+    assert files() == ["config.yaml", "metrics.json", "notes.txt", "seed-0",
+                       "seed-0/intervals.csv", "seed-0/notes.txt",
+                       "seed-0/quantiles.csv", "timings.json"]
+    run("--mode", "pie", "--overwrite", "--seed", "5")
+    assert files() == ["config.yaml", "metrics.json", "notes.txt", "seed-0",
+                       "seed-0/notes.txt", "seed-5", "seed-5/intervals.csv",
+                       "seed-5/quantiles.csv", "timings.json"]
+    (out_dir / "seed-0" / "notes.txt").unlink()
+    run("--mode", "multidim", "--overwrite")
+    assert files() == ["config.yaml", "metrics.json", "notes.txt", "seed-0",
+                       "seed-0/draws.csv", "seed-0/intervals.csv",
+                       "seed-0/quantiles.csv", "timings.json"]
 
 
 def test_combine_and_metrics_commands(tmp_path):
@@ -546,21 +589,21 @@ def test_usage_refusals_exit_code(tmp_path):
 
 def test_report_lists_the_seeds_of_its_metrics(tmp_path):
     out_dir = tmp_path / "out"
-    args = ["run", "--set", "model.family=poisson-gamma", "--set", "data.true_theta=3",
-            "--n", "200", "-K", "2", "--set", "seeds=[1,10,2]", "--out", str(out_dir)]
-    for extra in ([], ["--seed", "7", "--overwrite"]):
-        result = CliRunner().invoke(main, args + extra)
-        assert result.exit_code == 0, result.output
+    result = CliRunner().invoke(main, [
+        "run", "--set", "model.family=poisson-gamma", "--set", "data.true_theta=3",
+        "--n", "200", "-K", "2", "--set", "seeds=[1,10,2]", "--out", str(out_dir)])
+    assert result.exit_code == 0, result.output
 
     def seed_headers():
         result = CliRunner().invoke(main, ["report", str(out_dir)])
         assert result.exit_code == 0, result.output
         return [line for line in result.output.splitlines() if line.startswith("seed-")]
 
-    # --overwrite replaced metrics.json but left the first run's seed directories
-    assert sorted(p.name for p in out_dir.glob("seed-*")) == [
-        "seed-1", "seed-10", "seed-2", "seed-7"]
-    assert seed_headers() == ["seed-7:"]
+    # a seed directory that metrics.json does not list is not printed
+    (out_dir / "seed-7").mkdir()
+    (out_dir / "seed-7" / "intervals.csv").write_bytes(
+        (out_dir / "seed-1" / "intervals.csv").read_bytes())
+    assert seed_headers() == ["seed-1:", "seed-10:", "seed-2:"]
     (out_dir / "metrics.json").unlink()
     assert seed_headers() == ["seed-1:", "seed-2:", "seed-7:", "seed-10:"]
 

@@ -11,6 +11,7 @@ from pie import (
     DataError,
     DrawMatrix,
     GaussianApprox,
+    IntervalEstimate,
     NumericError,
     QuantileTable,
     average_quantile_tables,
@@ -92,6 +93,10 @@ class TestQuantileTable:
             QuantileTable(np.array([0.2, 0.1]), np.array([0.0, 1.0]))
         with pytest.raises(ConfigError):
             QuantileTable(np.array([0.0, 0.5]), np.array([0.0, 1.0]))
+        with pytest.raises(ConfigError, match="equal length"):
+            QuantileTable([0.5], [1.0, 2.0])
+        with pytest.raises(NumericError, match="non-finite"):
+            QuantileTable([0.5], [np.nan])
 
 
 class TestAverageTables:
@@ -113,6 +118,10 @@ class TestAverageTables:
         t3 = QuantileTable(grid, normal_quantile(0.0, 3.0, grid))
         out = average_quantile_tables([t1, t3])
         assert np.allclose(out.values, normal_quantile(0.0, 2.0, grid), atol=1e-12)
+
+    def test_no_tables(self):
+        with pytest.raises(ConfigError, match="at least one quantile table"):
+            average_quantile_tables([])
 
     def test_grid_mismatch(self):
         a = quantile_table([1.0, 2.0], default_grid(9))
@@ -185,6 +194,10 @@ class TestPieInterval:
             pie_interval([[1.0, 2.0]], alpha=1.5)
         with pytest.raises(DataError):
             pie_interval([[1.0]], alpha=0.1)
+        with pytest.raises(ConfigError, match="alpha must lie in"):
+            IntervalEstimate(alpha=1.0, lower=0.0, upper=1.0)
+        with pytest.raises(ConfigError, match="lower bound exceeds"):
+            IntervalEstimate(alpha=0.1, lower=2.0, upper=1.0)
 
 
 class TestLocalOptimality:
@@ -242,7 +255,16 @@ class TestGaussianBarycenter:
         with pytest.raises(NumericError, match="residual"):
             gaussian_barycenter([a, b], max_iter=0)
 
+    def test_errors(self):
+        with pytest.raises(ConfigError, match="at least one Gaussian"):
+            gaussian_barycenter([])
+        with pytest.raises(ConfigError, match="mixed dimensions"):
+            gaussian_barycenter([GaussianApprox([0.0], [[1.0]]),
+                                 GaussianApprox([0.0, 0.0], np.eye(2))])
+
     def test_psd_validation(self):
+        with pytest.raises(ConfigError, match="must be 1 x 1"):
+            GaussianApprox([0.0], [[1.0, 0.0]])
         with pytest.raises(ConfigError):
             GaussianApprox([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])  # indefinite
         with pytest.raises(ConfigError):
@@ -290,6 +312,27 @@ class TestConsensus:
         with pytest.raises(ConfigError):
             consensus_combine([DrawMatrix(np.ones((4, 1)) * np.arange(4)[:, None]),
                                DrawMatrix(np.ones((5, 1)) * np.arange(5)[:, None])])
+        with pytest.raises(ConfigError, match="at least one shard"):
+            consensus_combine([])
+        with pytest.raises(DataError, match="at least 2 draws"):
+            consensus_combine([DrawMatrix([[1.0]]), DrawMatrix([[2.0]])])
+
+    def test_singular_combined_weights(self):
+        # two shards whose coordinates differ by 1e-8 sd: each covariance is
+        # inverted, but in some trials the sum of the inverses rounds to a
+        # matrix with an exactly zero pivot
+        singular = 0
+        for seed in range(200):
+            g = np.random.default_rng(seed)
+            shards = []
+            for _ in range(2):
+                x = g.standard_normal(20)
+                shards.append(DrawMatrix(np.column_stack([x, x + 1e-8 * g.standard_normal(20)])))
+            try:
+                consensus_combine(shards)
+            except NumericError as exc:
+                singular += str(exc) == "singular combined weight matrix"
+        assert singular > 0
 
 
 class TestSampleFromTable:
@@ -299,6 +342,11 @@ class TestSampleFromTable:
         draws = sample_from_table(table, 50000, np.random.default_rng(10))
         assert abs(np.mean(draws)) < 0.02
         assert abs(np.std(draws) - 1.0) < 0.02
+
+    def test_errors(self):
+        table = QuantileTable([0.5], [1.0])
+        with pytest.raises(ConfigError, match="sample size"):
+            sample_from_table(table, 0, np.random.default_rng(0))
 
 
 class TestMethodError:

@@ -63,6 +63,11 @@ class TestSimulateLinear:
         assert np.array_equal(a.responses, b.responses)
         assert np.array_equal(a.design, b.design)
 
+    def test_sizes(self):
+        for n, p in ((0, 3), (5, 0)):
+            with pytest.raises(ConfigError, match="n and p must be >= 1"):
+                simulate_linear(n, p, seed=0)
+
 
 class TestSimulateUnivariate:
     def test_poisson_mean(self):

@@ -90,6 +90,21 @@ class TestConfig:
             poisson_config(mode="magic")
         with pytest.raises(ConfigError):
             poisson_config(seeds=[])
+        # the true value is checked when the config is built, not mid-run
+        for theta, message in ((None, "requires data.true_theta"),
+                               (float("nan"), "must be finite"),
+                               (float("-inf"), "must be finite"),
+                               (-1.0, "rate must be positive")):
+            with pytest.raises(ConfigError, match=message):
+                poisson_config(true_theta=theta)
+        with pytest.raises(ConfigError, match="bernoulli probability"):
+            poisson_config(model=ModelSpec("bernoulli-beta", {"a": 1.0, "b": 1.0}),
+                           true_theta=1.5)
+        with pytest.raises(ConfigError, match="must be finite"):
+            poisson_config(true_theta=float("inf"), data_source="csv", data_path="y.csv")
+        with pytest.raises(ConfigError, match="must be finite"):
+            load_config(None, {"model.family": "poisson-gamma", "n": 200,
+                               "data.true_theta": ".nan"})
 
     def test_yaml_round_trip(self, tmp_path):
         raw = {
@@ -598,6 +613,27 @@ def test_perfbench_tracer_finds_every_name_it_patches(monkeypatch):
     finally:
         tracer.uninstall()
     assert all(getattr(pie.runner, name) is fn for name, fn in originals.items())
+
+
+def test_bench_pairs_reports_regressions():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", Path(__file__).parent.parent / "tools" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    parent = [1.0, 1.01, 0.99, 1.02, 0.98]
+
+    def result(better, change, parent=parent, bound=0.25):
+        return bench_pairs.regression(bench_pairs.summarize(better, parent, change), bound)
+
+    assert result("lower", [1.2, 1.21, 1.19, 1.22, 1.18]) == "within bound"
+    assert result("lower", [1.3, 1.31, 1.29, 1.32, 1.28]) == "WORSE"
+    assert result("higher", [0.7, 0.71, 0.69, 0.72, 0.68]) == "WORSE"
+    assert result("higher", [1.3, 1.31, 1.29, 1.32, 1.28]) == "within bound"
+    assert result("lower", [1.0] * 5, bound=0.01) == "unresolved"
+    # every change run beats every parent run: resolved however wide the spread
+    assert result("lower", [0.9, 0.91, 0.92, 0.93, 0.94], bound=0.01) == "within bound"
+    assert result("higher", [1.0] * 5, parent=[0.0] * 5, bound=0.0) == "within bound"
+    assert result("higher", [None] * 5) == "no values"
 
 
 def reference_seed_files(result) -> dict:

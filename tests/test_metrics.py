@@ -18,6 +18,7 @@ from pie import (
     w2_from_tables,
 )
 import pie.metrics
+from pie.metrics import DensityEstimate
 from oracles import direct_kernel_sum, normal_quantile
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -102,6 +103,20 @@ class TestKde:
             kde_1d(np.ones(10))
         with pytest.raises(DataError):
             kde_1d([1.0])
+        with pytest.raises(DataError, match="non-finite"):
+            kde_1d([1.0, np.inf])
+        with pytest.raises(ConfigError, match="bandwidth must be positive"):
+            kde_1d([1.0, 2.0], bandwidth=0.0)
+
+    def test_density_estimate_validation(self):
+        with pytest.raises(ConfigError, match="increasing with >= 2 points"):
+            DensityEstimate([0.0], [1.0], 1.0)
+        with pytest.raises(NumericError, match="finite and nonnegative"):
+            DensityEstimate([0.0, 1.0], [-1.0, 1.0], 1.0)
+        with pytest.raises(NumericError, match="does not integrate to 1"):
+            DensityEstimate([0.0, 1.0], [5.0, 5.0], 1.0)
+        with pytest.raises(ConfigError, match="bandwidth must be positive"):
+            DensityEstimate([0.0, 1.0], [1.0, 1.0], 0.0)
 
     def test_few_ulp_spread_is_numeric(self):
         # the 3h margins round away, so the grid would repeat points
@@ -133,6 +148,10 @@ class TestAccuracy:
         assert np.std(x) > 0
         with pytest.raises(NumericError, match="degenerate sample: zero spread"):
             accuracy(x, np.random.default_rng(9).standard_normal(1000))
+
+    def test_needs_two_samples_each(self):
+        with pytest.raises(DataError, match="at least 2 samples"):
+            accuracy([1.0], [1.0, 2.0])
 
     def test_symmetry(self):
         g = np.random.default_rng(8)

@@ -14,6 +14,7 @@ from pie import (
     ConfigError,
     DataError,
     LinearFunctional,
+    NumericError,
     ModelSpec,
     ObservationSet,
     PartitionPlan,
@@ -329,6 +330,14 @@ class TestTypes:
             ObservationSet([1.0, np.inf])
         with pytest.raises(DataError):
             ObservationSet([1.0, 2.0], design=[[1.0]])
+        with pytest.raises(DataError, match="design contains non-finite"):
+            ObservationSet([1.0], design=[[np.nan]])
+
+    def test_draw_matrix_validation(self):
+        with pytest.raises(ConfigError, match="T x d matrix"):
+            DrawMatrix(np.ones((2, 2, 2)))
+        with pytest.raises(NumericError, match="non-finite"):
+            DrawMatrix([[np.nan]])
 
     def test_take(self):
         obs = ObservationSet([1.0, 2.0, 3.0], design=[[1], [2], [3]])
@@ -359,6 +368,27 @@ class TestTypes:
             ModelSpec("normal-linear-nig",
                       {"a": 5.0, "b": 1.0, "mu_star": [0.0], "omega": [[-1.0]]},
                       parameter_dim=2)
+        with pytest.raises(ConfigError, match="omega must be symmetric"):
+            ModelSpec("normal-linear-nig", {"a": 5.0, "b": 1.0, "mu_star": [0.0, 0.0],
+                                            "omega": [[1.0, 0.5], [0.0, 1.0]]},
+                      parameter_dim=3)
+        with pytest.raises(ConfigError, match="parameter_dim must be p \\+ 1"):
+            ModelSpec("normal-linear-nig",
+                      {"a": 5.0, "b": 1.0, "mu_star": [0.0], "omega": [[1.0]]},
+                      parameter_dim=3)
+        with pytest.raises(ConfigError, match="has a scalar parameter"):
+            ModelSpec("poisson-gamma", {"a": 1.0, "b": 1.0}, parameter_dim=2)
+        with pytest.raises(ConfigError, match="parameter_dim must be >= 1"):
+            ModelSpec("poisson-gamma", {"a": 1.0, "b": 1.0}, parameter_dim=0)
+        with pytest.raises(ConfigError, match="requires log_likelihood and log_prior"):
+            ModelSpec("custom-logdensity")
+        custom = ModelSpec("custom-logdensity", log_likelihood=lambda theta, data: np.nan,
+                           log_prior=lambda theta: 0.0)
+        with pytest.raises(ConfigError, match="no default initialization"):
+            custom.prior_mean()
+        # a NaN log likelihood is a point outside the support
+        target = TemperedTarget(custom, ObservationSet([1.0]), 1.0)
+        assert target.log_density([0.5]) == -np.inf
 
     def test_immutable(self):
         obs = ObservationSet([1.0, 2.0])

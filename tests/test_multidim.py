@@ -5,6 +5,7 @@ from pie import (
     ConfigError,
     DataError,
     DrawMatrix,
+    NumericError,
     combine_multidim,
     default_grid,
     marginal_tables,
@@ -68,6 +69,15 @@ class TestPooledCenterScale:
             pooled_center_scale([])
         with pytest.raises(DataError):
             pooled_center_scale([DrawMatrix(np.ones((1, 2)))])
+        g = np.random.default_rng(0)
+        with pytest.raises(ConfigError, match="share the parameter dimension"):
+            pooled_center_scale([DrawMatrix(g.standard_normal((5, 1))),
+                                 DrawMatrix(g.standard_normal((5, 2)))])
+        # coordinate scales of 1 and 1e-9 leave a covariance eigenvalue below
+        # the relative floor
+        with pytest.raises(NumericError, match="singular pooled covariance"):
+            pooled_center_scale([DrawMatrix(g.standard_normal((50, 2)) * [1.0, 1e-9])
+                                 for _ in range(2)])
 
 
 class TestCombineMultidim:
@@ -141,6 +151,8 @@ class TestCombineMultidim:
         shards = gaussian_shards(g, [[0.0]], [[1.0]], 100)
         with pytest.raises(ConfigError):
             combine_multidim(shards, grid=[0.5])
+        with pytest.raises(ConfigError, match="T_out must be >= 1"):
+            combine_multidim(shards, T_out=0)
 
     def test_marginal_tables_shape(self):
         g = np.random.default_rng(10)

@@ -220,6 +220,33 @@ class TestNormalLinear:
                                                 "omega": [[np.inf]]}, parameter_dim=2)
         with pytest.raises(NumericError):
             TemperedTarget(model, ObservationSet([1.0, 1.0], [[0.0], [0.0]]), 1.0)
+        # responses a near-exact fit of the design leaves nothing of: with
+        # b = 1e-300 the completed square rounds the rate to zero or below
+        Z = np.random.default_rng(0).integers(-3, 4, (50, 3)).astype(float)
+        with pytest.raises(NumericError, match="nonpositive posterior rate"):
+            normal_linear_nig_params(Z @ [-2e7, 2e7, -2e7], Z, 19.0, np.zeros(3),
+                                     1e12 * np.eye(3), 4.0 + 1e-9, 1e-300)
+
+    def test_singular_precision_at_draw_time(self):
+        # two nearly collinear columns under a flat prior: in some trials the
+        # update solves with the precision, but its Cholesky factor fails
+        failed_draws = 0
+        for seed in range(20):
+            g = np.random.default_rng(seed)
+            x = g.standard_normal(30)
+            Z = np.column_stack([x, x + 1e-9 * g.standard_normal(30)])
+            args = (x + g.standard_normal(30), Z, 1.0, np.zeros(2), 1e16 * np.eye(2),
+                    5.0, 1.0)
+            try:
+                normal_linear_nig_params(*args)
+            except NumericError:
+                continue
+            try:
+                sample_normal_linear_nig(*args, 10, seed)
+            except NumericError as exc:
+                assert "singular" in str(exc)
+                failed_draws += 1
+        assert failed_draws > 0
 
 
 class TestMetropolis:

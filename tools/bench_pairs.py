@@ -15,6 +15,13 @@ workload's record is written into that JSON file, keeping any other
 workloads and keys already in it.  For each metric the tool also prints
 whether the change won at least 9 of 10 pairs and whether the medians are
 apart, in the change's favour, by more than the parent's quartile spread.
+
+It also prints, and records as ``regression`` next to the metric's
+``bound`` from ``BENCHMARK.json``, one of three results: ``within bound``
+(the change's median is worse than the parent's by at most bound x |parent
+median|), ``WORSE`` (by more), or ``unresolved`` (the parent's quartile
+spread exceeds bound x |parent median|, and not every change run beats
+every parent run).
 """
 
 from __future__ import annotations
@@ -80,6 +87,20 @@ def verdict(stats: dict, pairs: int) -> str:
             f"parent spread {spread:.6g}")
 
 
+def regression(stats: dict, bound: float) -> str:
+    """``within bound``, ``WORSE`` or ``unresolved`` for one metric's summary."""
+    p_q, c_q = stats["parent_q1_median_q3"], stats["change_q1_median_q3"]
+    if None in p_q or None in c_q:
+        return "no values"
+    sign = 1.0 if stats["better"] == "lower" else -1.0
+    allowed = bound * abs(p_q[1])
+    beats_all = all(sign * (p - c) > 0 for p in stats["parent"] if p is not None
+                    for c in stats["change"] if c is not None)
+    if p_q[2] - p_q[0] > allowed and not beats_all:
+        return "unresolved"
+    return "WORSE" if sign * (c_q[1] - p_q[1]) > allowed else "within bound"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -110,7 +131,9 @@ def main(argv=None) -> int:
     for m in spec["end_to_end"]:
         values = {side: [r["metrics"][m["name"]]["value"] for r in runs]
                   for side, runs in results.items()}
-        metrics[m["name"]] = summarize(m["better"], values["parent"], values["change"])
+        stats = summarize(m["better"], values["parent"], values["change"])
+        metrics[m["name"]] = {**stats, "bound": m["bound"],
+                              "regression": regression(stats, m["bound"])}
     record = {
         "command": f"python3 perfbench/run.py --workload {args.workload} "
                    f"--seed {args.seed} --seconds {seconds:g} --trace 0",
@@ -121,7 +144,8 @@ def main(argv=None) -> int:
     }
     for name, stats in metrics.items():
         p_q, c_q = stats["parent_q1_median_q3"], stats["change_q1_median_q3"]
-        print(f"{name:14s} median {p_q[1]} -> {c_q[1]}  {verdict(stats, args.pairs)}")
+        print(f"{name:14s} median {p_q[1]} -> {c_q[1]}  {verdict(stats, args.pairs)}; "
+              f"{stats['regression']} (bound {stats['bound']:g})")
 
     if args.out is not None:
         doc = {}
