@@ -39,18 +39,21 @@ from .samplers import (
 from .combine import (
     GaussianApprox,
     IntervalEstimate,
+    PooledTransform,
     QuantileTable,
     average_quantile_tables,
     barycenter_residual,
+    combine_multidim,
     consensus_combine,
     default_grid,
     empirical_quantile,
     gaussian_barycenter,
+    marginal_tables,
     pie_interval,
+    pooled_center_scale,
     quantile_table,
     sample_from_table,
 )
-from .multidim import PooledTransform, combine_multidim, marginal_tables, pooled_center_scale
 from .metrics import (
     DensityEstimate,
     RateFit,

@@ -32,7 +32,7 @@ from .data import (
 from .errors import DataError, PieError
 from .families import SIMULATED
 from .metrics import accuracy, bias_variance_summary, quantile_gap, w2_from_tables
-from .runner import INTERVALS_HEADER, emit_report, run_experiment
+from .runner import INTERVALS_HEADER, SEED_FILE, emit_report, run_experiment
 
 
 class _PieGroup(click.Group):
@@ -181,12 +181,14 @@ def metrics(table_a, table_b, samples_a, samples_b, u1, u2, xi0, out):
 def report(run_dir):
     """Summarize an emitted run directory: its metric cells, then the
     intervals of each seed that ``metrics.json`` lists, in its order, or
-    without a ``metrics.json`` of every ``seed-*`` directory in numeric order."""
+    without a ``metrics.json`` of every ``seed-<s>`` directory that
+    ``emit_report`` could have written, in the numeric order of s."""
     run_dir = Path(run_dir)
     metrics_path = run_dir / "metrics.json"
     lines = []
-    # shorter names first puts seed-2 before seed-10: seeds are non-negative integers
-    paths = sorted(run_dir.glob("seed-*/intervals.csv"), key=lambda p: (len(str(p)), p))
+    found = (SEED_FILE.fullmatch(p.relative_to(run_dir).as_posix())
+             for p in run_dir.glob("seed-*/intervals.csv"))
+    paths = [run_dir / m[0] for m in sorted(filter(None, found), key=lambda m: int(m[1]))]
     if metrics_path.exists():
         doc = read_json(metrics_path)
         cells = doc.get("cells") if isinstance(doc, dict) else None

@@ -90,12 +90,12 @@ class ExperimentConfig:
         family = CONJUGATE[self.model.family]
         if self.true_theta is not None and not math.isfinite(self.true_theta):
             raise ConfigError(f"data.true_theta must be finite, got {self.true_theta!r}")
-        if self.data_source == "simulate" and not family.regression:
-            if self.true_theta is None:
-                raise ConfigError("simulated univariate data requires data.true_theta")
-            family.check_theta0(self.true_theta)
         if family.regression:
             check_count(self.n * (self.model.parameter_dim - 1), "design size n * data.p")
+        elif self.true_theta is not None:
+            family.check_theta0(self.true_theta)
+        elif self.data_source == "simulate":
+            raise ConfigError("simulated univariate data requires data.true_theta")
         if self.sampler == "metropolis":
             # the Metropolis target holds the prior's log normaliser, which a
             # flat prior, such as an infinite variance in omega, does not have

@@ -34,7 +34,7 @@ def simulate_univariate(family: str, theta0: float, n: int, seed: int) -> Observ
     g = rng.stream(rng.SIMULATE, seed)
     try:
         y = source.simulate_data(theta0, n, g)
-    except ValueError as exc:  # numpy refuses a poisson rate near 2**63
+    except ValueError as exc:  # a refusal of numpy's that check_theta0 lets through
         raise ConfigError(f"cannot simulate {family} data at {theta0!r}: {exc}") from None
     meta = {"source": "simulate", "family": family, "theta0": float(theta0),
             "seed": int(seed)}

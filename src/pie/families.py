@@ -177,6 +177,12 @@ class PoissonGamma(_GammaRate):
     def outside_support(self, y) -> bool:
         return np.any(y < 0) or np.any(y != np.floor(y))
 
+    def check_theta0(self, theta0):
+        super().check_theta0(theta0)
+        # numpy's Poisson sampler refuses a rate above this, derived from the C long
+        if theta0 > np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10:
+            raise ConfigError(f"poisson rate {theta0!r} is too large for numpy to draw at")
+
     def stats(self, y, Z=None):
         return y.sum(), y.size
 

@@ -34,6 +34,7 @@ from .combine import (  # noqa: F401
     QuantileTable,
     _order_statistics,
     average_quantile_tables,
+    combine_multidim,
     default_grid,
     consensus_combine,
     pie_interval,
@@ -47,7 +48,6 @@ from .errors import ConfigError, DataError, PieError
 from .families import CONJUGATE
 from .metrics import accuracy, quantile_gap, table_moments, w2_from_tables
 from .models import ObservationSet, TemperedTarget, apply_functional, partition
-from .multidim import combine_multidim
 from .samplers import (  # noqa: F401 - the sample_* wrappers, see above
     DrawMatrix,
     _exact,

@@ -211,6 +211,14 @@ def test_non_finite_true_theta_of_csv_data_exit_code(tmp_path):
     assert result.exit_code == 2, (result.output, result.exception)
     assert "data.true_theta must be finite" in result.output
     assert not (tmp_path / "never").exists()
+    # and one outside the family's parameter space, though the data are read, not drawn
+    result = CliRunner().invoke(main, [
+        "run", "--set", "model.family=poisson-gamma", "--set", "data.source=csv",
+        "--set", f"data.path={data}", "--set", "data.true_theta=-1", "--n", "200",
+        "-K", "2", "--out", str(tmp_path / "never")])
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert "rate must be positive" in result.output
+    assert not (tmp_path / "never").exists()
 
 
 def test_invalid_yaml_exit_code(tmp_path):
@@ -605,6 +613,12 @@ def test_report_lists_the_seeds_of_its_metrics(tmp_path):
         (out_dir / "seed-1" / "intervals.csv").read_bytes())
     assert seed_headers() == ["seed-1:", "seed-10:", "seed-2:"]
     (out_dir / "metrics.json").unlink()
+    assert seed_headers() == ["seed-1:", "seed-2:", "seed-7:", "seed-10:"]
+    # nor, without metrics.json, a directory whose name emit_report never writes
+    for name in ("seed-x", "seed-01", "seed--1"):
+        (out_dir / name).mkdir()
+        (out_dir / name / "intervals.csv").write_bytes(
+            (out_dir / "seed-1" / "intervals.csv").read_bytes())
     assert seed_headers() == ["seed-1:", "seed-2:", "seed-7:", "seed-10:"]
 
 

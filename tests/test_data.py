@@ -87,6 +87,20 @@ class TestSimulateUnivariate:
         with pytest.raises(ConfigError):
             simulate_univariate("cauchy", 0.0, 10, seed=0)
 
+    def test_poisson_rate_limit_is_numpys(self, monkeypatch):
+        from pie.families import PoissonGamma, _GammaRate
+
+        limit = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
+        assert simulate_univariate("poisson", limit, 3, seed=0).n == 3
+        above = float(np.nextafter(limit, np.inf))
+        with pytest.raises(ConfigError, match="too large for numpy"):
+            simulate_univariate("poisson", above, 3, seed=0)
+        # numpy refuses the same rate, and a refusal the family check misses is
+        # still relayed as a config error
+        monkeypatch.setattr(PoissonGamma, "check_theta0", _GammaRate.check_theta0)
+        with pytest.raises(ConfigError, match="cannot simulate poisson data"):
+            simulate_univariate("poisson", above, 3, seed=0)
+
 
 class TestLoadCsv:
     def test_response_only(self, tmp_path):

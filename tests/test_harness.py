@@ -102,6 +102,20 @@ class TestConfig:
                            true_theta=1.5)
         with pytest.raises(ConfigError, match="must be finite"):
             poisson_config(true_theta=float("inf"), data_source="csv", data_path="y.csv")
+        # with CSV data too, a given true value must lie in the parameter space
+        csv = {"data_source": "csv", "data_path": "y.csv"}
+        with pytest.raises(ConfigError, match="rate must be positive"):
+            poisson_config(true_theta=-1.0, **csv)
+        with pytest.raises(ConfigError, match="bernoulli probability"):
+            poisson_config(model=ModelSpec("bernoulli-beta", {"a": 1.0, "b": 1.0}),
+                           true_theta=1.5, **csv)
+        assert poisson_config(true_theta=None, **csv).true_theta is None
+        # a Poisson rate numpy cannot draw at is refused before any run starts
+        with pytest.raises(ConfigError, match="too large for numpy"):
+            load_config(None, {"model.family": "poisson-gamma", "n": 50,
+                               "data.true_theta": "1e300"})
+        assert load_config(None, {"model.family": "poisson-gamma", "n": 50,
+                                  "data.true_theta": "1e18"}).true_theta == 1e18
         with pytest.raises(ConfigError, match="must be finite"):
             load_config(None, {"model.family": "poisson-gamma", "n": 200,
                                "data.true_theta": ".nan"})
@@ -596,14 +610,19 @@ class TestPartitionHelper:
         assert threading.active_count() == before
 
 
-def test_perfbench_tracer_finds_every_name_it_patches(monkeypatch):
+@pytest.fixture
+def tracing(monkeypatch):
+    """perfbench's span tracer, imported without writing bytecode into perfbench/."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    return importlib.import_module("tracing")
+
+
+def test_perfbench_tracer_finds_every_name_it_patches(tracing):
     # perfbench/tracing.py wraps functions by name on pie.runner, so a name the
     # runner stops binding breaks only a traced benchmark run
     import pie
 
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
-    tracing = importlib.import_module("tracing")
     originals = {name: pie.runner.__dict__.get(name) for name in tracing.RUNNER_NAMES}
     assert all(callable(fn) for fn in originals.values()), originals
     tracer = tracing.Tracer(pie)
@@ -613,6 +632,30 @@ def test_perfbench_tracer_finds_every_name_it_patches(monkeypatch):
     finally:
         tracer.uninstall()
     assert all(getattr(pie.runner, name) is fn for name, fn in originals.items())
+
+
+def test_perfbench_traced_replicates_run_clean(tracing, tmp_path):
+    # a traced benchmark replicate: the three calls `pie run` makes, with the
+    # tracer's wrappers and their computed counts in the way
+    import pie
+
+    runs = [{"model.family": "normal-linear-nig", "n": 300, "data.p": 2, "K": 3,
+             "mode": "multidim"},
+            {"model.family": "poisson-gamma", "data.true_theta": 3.0, "n": 300, "K": 2,
+             "sampler": "metropolis", "chain.T_total": 400}]
+    tracer = tracing.Tracer(pie)
+    tracer.install()
+    try:
+        for i, overrides in enumerate(runs):
+            cfg = pie.load_config(None, {**overrides, "output_dir": str(tmp_path / str(i))})
+            pie.emit_report(pie.run_experiment(cfg), cfg.output_dir)
+    finally:
+        tracer.uninstall()
+    m = tracing.layer_metrics(tracer.spans, 1)
+    assert {k: v for k, v in m.items() if k.endswith(".errors") and v} == {}
+    for key in ("multidim.combine_s", "samplers.mh_steps", "models.rows_scanned",
+                "runner.emit_files"):
+        assert m[key] > 0, key
 
 
 def test_bench_pairs_reports_regressions():

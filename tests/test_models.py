@@ -23,10 +23,9 @@ from pie import (
     partition,
     tempered_log_density,
 )
-from pie.combine import GaussianApprox, QuantileTable
+from pie.combine import GaussianApprox, PooledTransform, QuantileTable
 from pie.families import LINEAR, POISSON
 from pie.metrics import DensityEstimate, RateFit
-from pie.multidim import PooledTransform
 from pie.samplers import DrawMatrix
 from oracles import log_factorial_sum, normal_linear_log_density, reference_partition
 
