@@ -298,13 +298,18 @@ class NormalLinearNIG(_Family):
             raise ConfigError("mu_star and omega must match the design dimension")
 
     def stats(self, y, Z):
-        # summed over blocks of _STATS_ROWS rows: OpenBLAS hands a longer dot
-        # product to its thread pool, whose workers spin on after the call
-        # returns and whose size would set the sums' last bits
-        Zb, yb = Z[:_STATS_ROWS], y[:_STATS_ROWS]
+        # summed over blocks of at most _STATS_ROWS rows and c = 400 000
+        # elements: OpenBLAS 0.3.31 hands a longer product to its thread pool
+        # (Zb.T @ yb from between 4.5e5 and 4.8e5 elements), whose workers spin
+        # on after the call returns and whose size would set the sums' last
+        # bits.  So the statistics are thread-independent at every p; the LAPACK
+        # calls of update and draw (cholesky, solve, inv) are not, from p = 100
+        # on (measured with 1 and 2 threads on a 2-CPU x86-64 host).
+        rows = min(_STATS_ROWS, 400_000 // Z.shape[1])
+        Zb, yb = Z[:rows], y[:rows]
         ZtZ, Zty, yty = Zb.T @ Zb, Zb.T @ yb, yb @ yb
-        for start in range(_STATS_ROWS, y.size, _STATS_ROWS):
-            Zb, yb = Z[start:start + _STATS_ROWS], y[start:start + _STATS_ROWS]
+        for start in range(rows, y.size, rows):
+            Zb, yb = Z[start:start + rows], y[start:start + rows]
             ZtZ += Zb.T @ Zb
             Zty += Zb.T @ yb
             yty += yb @ yb

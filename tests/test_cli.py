@@ -70,6 +70,23 @@ def test_run_flag_overrides(tmp_path):
     assert len(lines) - 1 == 49 * 5  # 4 shards + combined
 
 
+def test_workers_flag_changes_no_byte(tmp_path):
+    # --workers is still accepted, and has no effect on the report
+    cfg = write_config(tmp_path / "cfg.yaml")
+    out_dir = tmp_path / "run"
+
+    def report(*extra):
+        result = CliRunner().invoke(main, ["run", "--config", str(cfg), "--out", str(out_dir),
+                                           "--overwrite", *extra])
+        assert result.exit_code == 0, result.output
+        return {p.relative_to(out_dir).as_posix(): p.read_bytes()
+                for p in out_dir.rglob("*") if p.is_file() and p.name != "timings.json"}
+
+    with_flag = report("--workers", "3")
+    assert "seed-0/quantiles.csv" in with_flag
+    assert with_flag == report()
+
+
 def test_output_dir_env_var(tmp_path, monkeypatch):
     cfg = write_config(tmp_path / "cfg.yaml")
     monkeypatch.setenv("PIE_OUT_DIR", str(tmp_path / "env-run"))

@@ -1,26 +1,28 @@
 #!/usr/bin/env python3
 """Print the SHA-256 of every report file a fixed set of `pie run` configurations produce.
 
-    python3 tools/report_digest.py --seeds 1 2 --workers 1 2 > tests/report_digest.txt
+    python3 tools/report_digest.py --seeds 1 2 > tests/report_digest.txt
 
-Runs each configuration of ``perfbench/workloads.py``, and the nine of
+Runs each configuration of ``perfbench/workloads.py``, and the ten of
 ``EXTRA_CONFIGS`` below that cover what those leave out, once per master
-seed and worker count, with the three calls `pie run` makes
-(`load_config`, `run_experiment`, `emit_report`), using the package in
-``src/`` of this checkout.  Everything is written in a temporary directory
-under fixed relative paths, so the config echo in ``config.yaml`` is the
-same in every checkout and compares too.  The output is one
-``sha256  relative/path`` line per report file, ``timings.json``
-excepted, plus one for each CSV input written for a configuration that
-reads one: 222 lines for the arguments above, the first 186 of them from
-the configurations before the two with general functionals.  Comparing two
+seed, with the three calls `pie run` makes (`load_config`,
+`run_experiment`, `emit_report`), using the package in ``src/`` of this
+checkout.  Everything is written in a temporary directory under fixed
+relative paths, so the config echo in ``config.yaml`` is the same in every
+checkout and compares too.  The output is one ``sha256  relative/path``
+line per report file, ``timings.json`` excepted, plus one for each CSV
+input written for a configuration that reads one: 120 lines for the
+arguments above, 94 from the configurations before the two with general
+functionals, 18 from those two and 8 from ``linear-p60``.  Comparing two
 checkouts' reports is then one ``diff`` of their outputs.
 
 Three ``#`` lines come first and name the Python, numpy and BLAS builds:
 ``config.yaml`` echoes the first two, and the normal-linear draws' bits
 depend on the third, so digests compare only where these lines match.
-``tests/test_report_digest.py`` regenerates the checked-in
-``tests/report_digest.txt`` with the arguments above and compares.
+The BLAS thread count is not among them: ``tests/test_report_digest.py``
+runs this tool under ``OPENBLAS_NUM_THREADS=1`` and ``=2`` with the
+arguments above, and requires both outputs to equal the checked-in
+``tests/report_digest.txt``.
 """
 
 from __future__ import annotations
@@ -82,10 +84,16 @@ EXTRA_CONFIGS = {
     # functionals that are not coordinates, and alpha levels off the quantile grid
     "linear-general-pie": dict(GENERAL, mode="pie"),
     "linear-general-consensus": dict(GENERAL, mode="consensus"),
+    # a design wide enough that 10 000-row blocks of it pass OpenBLAS's
+    # threading split for Zb.T @ yb, so the second BLAS thread count can move a
+    # byte; two functionals, beta_1 and sigma^2, keep quantiles.csv small
+    "linear-p60": {"model": dict(LINEAR_MODEL), "data": {"source": "simulate", "p": 60},
+                   "n": 12_000, "K": 4, "sampler": "exact", "mode": "pie",
+                   "functionals": [{"a": [1.0] + [0.0] * 60}, {"a": [0.0] * 60 + [1.0]}]},
 }
 
 
-def write_runs(seeds: list, workers: list) -> list:
+def write_runs(seeds: list) -> list:
     """Write every configuration's inputs and reports under the current
     directory and return the paths of the CSV inputs and of the report files."""
     paths = []
@@ -102,11 +110,8 @@ def write_runs(seeds: list, workers: list) -> list:
                 paths.append(base / "data.csv")
             config_path = base / "config.yaml"
             config_path.write_text(yaml.safe_dump(config), encoding="utf-8")
-            for count in workers:
-                cfg = pie.load_config(config_path,
-                                      {"output_dir": str(base / f"workers-{count}")})
-                paths += pie.emit_report(pie.run_experiment(cfg, workers=count),
-                                         cfg.output_dir)
+            cfg = pie.load_config(config_path, {"output_dir": str(base / "report")})
+            paths += pie.emit_report(pie.run_experiment(cfg), cfg.output_dir)
     return paths
 
 
@@ -121,14 +126,13 @@ def environment() -> list:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
-    parser.add_argument("--workers", type=int, nargs="+", default=[1])
     args = parser.parse_args(argv)
     print("\n".join(environment()))
     start = Path.cwd()
     with tempfile.TemporaryDirectory(prefix="report-digest-") as work:
         os.chdir(work)
         try:
-            for path in write_runs(args.seeds, args.workers):
+            for path in write_runs(args.seeds):
                 if path.name != "timings.json":
                     digest = hashlib.sha256(path.read_bytes()).hexdigest()
                     print(f"{digest}  {path.as_posix()}")
