@@ -110,8 +110,11 @@ class ExperimentConfig:
         for f in self.functionals:
             if f.a.size != self.model.parameter_dim:
                 raise ConfigError("functional dimension does not match the model parameter")
-        # one seed holds every shard's retained draws and the oracle's, and per
-        # functional a quantile table for each shard, the combination and the oracle
+        # one seed holds at most K + 1 sets of retained draws: consensus and
+        # multidim keep the K shards' until they are combined, then hold the
+        # combined draws and the oracle's; pie and full-oracle hold one shard's
+        # at a time, so for them this is an upper bound.  Per functional there is
+        # a quantile table for each shard, the combination and the oracle
         K = 1 if self.mode == "full-oracle" else self.K
         check_count((K + 1) * self.chain.retained * self.model.parameter_dim
                     + len(self.functionals) * (K + 2) * self.grid_size, "draws and table "

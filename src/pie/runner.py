@@ -3,10 +3,12 @@
 Shards are sampled one after another in shard order; every shard's stream
 is keyed by (master seed, shard id), so a report depends only on the
 configuration.  Each seed's partition, a pure function of (n, K, seed), is
-dealt on one helper thread while the data are drawn.  Combining and
-metrics run once every shard is sampled.
-Any shard failure aborts the whole combine; partial results are never
-emitted.
+dealt on one helper thread while the data are drawn.  One pass over the
+shards samples each one, reads its quantile rows and drops its draws,
+unless the mode's combiner reads them (consensus and multidim); those are
+released once combined, before the full-data oracle is drawn.  The first
+shard that fails ends the run: no later shard is sampled, and partial
+results are never emitted.
 """
 
 from __future__ import annotations
@@ -134,24 +136,6 @@ def _sample_shard(cfg: ExperimentConfig, obs: ObservationSet, plan, master_seed:
     return sample_metropolis(target, cfg.model.prior_mean(), chain, shard_id=j)
 
 
-def _sample_all_shards(cfg, obs, plan, master_seed) -> list:
-    """Every shard's draws in shard order.  All shards are attempted; if any
-    fail, one error lists every failure, typed as the first one when that is
-    a ``PieError``."""
-    draws, failures = [], []
-    for j in range(plan.K):
-        try:
-            draws.append(_sample_shard(cfg, obs, plan, master_seed, j))
-        except Exception as exc:  # noqa: BLE001 - aggregated below
-            failures.append((j, exc))
-    if failures:
-        detail = "; ".join(f"shard {j}: {exc}" for j, exc in failures)
-        first = failures[0][1]
-        cls = type(first) if isinstance(first, PieError) else PieError
-        raise cls(f"shard sampling failed: {detail}")
-    return draws
-
-
 def _lap(timings: dict, phase: str, t0: float) -> float:
     """Add the time since ``t0`` to ``timings[phase]``; return the time now."""
     timings[phase] = timings.get(phase, 0.0) + (now := time.perf_counter()) - t0
@@ -185,20 +169,31 @@ def _run_seed(cfg: ExperimentConfig, master_seed: int, timings: dict) -> SeedRes
         t0 = _lap(timings, "data", t0)
         plan = dealt.result()
     t0 = _lap(timings, "partition", t0)
-    shard_draws = _sample_all_shards(cfg, obs, plan, master_seed)
+    # the mode's combiner, if it reads draws (pie and full-oracle average the
+    # shards' rows), looked up once and from this module's globals at call time
+    combiners = {"consensus": consensus_combine,
+                 "multidim": partial(combine_multidim, grid=grid, seed=master_seed)}
+    combiner = combiners.get(cfg.mode)
+    rows, kept = {}, []
+    for j in range(plan.K):
+        try:
+            dm = _sample_shard(cfg, obs, plan, master_seed, j)
+        except Exception as exc:  # noqa: BLE001 - the first failure ends the run
+            cls = type(exc) if isinstance(exc, PieError) else PieError
+            raise cls(f"shard {j}: {exc}") from exc
+        rows[f"shard{j}"] = _quantile_rows(cfg.functionals, dm, levels)
+        if combiner is not None:
+            kept.append(dm)
+        del dm  # a shard's draws outlive its step only if the combiner reads them
     t0 = _lap(timings, "sample", t0)
 
-    rows = {f"shard{j}": _quantile_rows(cfg.functionals, dm, levels)
-            for j, dm in enumerate(shard_draws)}
-    combined_dm = None
-    if cfg.mode == "consensus":
-        combined_dm = consensus_combine(shard_draws)
-    elif cfg.mode == "multidim":
-        combined_dm = combine_multidim(shard_draws, grid, seed=master_seed)
-    if combined_dm is None:
+    if combiner is None:
         # the barycenter: the shards' quantile functions averaged in shard order
+        combined_dm = None
         rows["combined"] = np.mean(np.stack(list(rows.values())), axis=0)
     else:
+        combined_dm = combiner(kept)
+        kept.clear()  # released before the oracle is drawn
         rows["combined"] = _quantile_rows(cfg.functionals, combined_dm, levels)
     tables = {f"f{i}": {source: QuantileTable(grid=grid, values=r[:grid.size, i])
                         for source, r in rows.items()}

@@ -476,6 +476,22 @@ def test_numeric_error_exit_code(tmp_path):
     assert result.exit_code == 4  # degenerate sample: zero spread
 
 
+def test_unexpected_shard_error_exit_code(tmp_path, monkeypatch):
+    # an error that is not a PieError is reported as one, naming its shard
+    from pie import runner
+
+    def broken(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(runner, "_sample_shard", broken)
+    cfg = write_config(tmp_path / "cfg.yaml")
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["run", "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 1, (result.output, result.exception)
+    assert result.output.startswith("error: ") and "shard 0: boom" in result.output
+    assert not out.exists()
+
+
 def test_constant_combined_sample_exit_code(tmp_path):
     # a proposal scale of 1e300 rejects every step, so each chain stays at its
     # start and every table it gives is one repeated value

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -466,21 +467,70 @@ class TestRunExperiment:
         assert [bits([c["w2"], c["accuracy"], c["quantile_gap"]])
                 for c in result.cells] == cells
 
-    def test_aggregated_shard_failure_names_shards(self):
+    def test_first_shard_failure_names_its_shard(self, tmp_path):
         # poisson counts with an exponential-gamma model: every shard fails the
-        # family's support check, on the exact and the Metropolis path alike
-        from pie.data import simulate_univariate
-        bad = simulate_univariate("poisson", 0.2, 100, seed=0)  # contains zeros
-        from pie import runner as runner_mod
-        plan = partition(100, 3, 0)
+        # family's support check, on the exact and the Metropolis path alike;
+        # the first failure ends the run and keeps its type
+        from pie.data import simulate_univariate, write_observations
+        path = tmp_path / "counts.csv"
+        write_observations(simulate_univariate("poisson", 0.2, 100, seed=0), path)  # zeros
         for sampler in ("exact", "metropolis"):
             cfg = poisson_config(
                 model=ModelSpec("exponential-gamma", {"a": 1.0, "b": 1.0}),
                 true_theta=2.0, n=100, K=3, sampler=sampler,
+                data_source="csv", data_path=str(path),
             )
-            # every shard fails; they are listed in shard order
-            with pytest.raises(DataError, match="shard 0: .*; shard 1: .*; shard 2: "):
-                runner_mod._sample_all_shards(cfg, bad, plan, 0)
+            with pytest.raises(DataError, match="^shard 0: ") as info:
+                run_experiment(cfg)
+            assert "shard 1" not in str(info.value)
+
+    @staticmethod
+    def spy_on_shards(monkeypatch, fail=False):
+        """Spy on ``pie.runner._sample_shard`` (with ``fail``, every call
+        raises) and on the oracle's ``_exact_draws`` call.  Returns the
+        number of calls, the most shard draw matrices alive when a shard's
+        draws are returned, and the number alive at each oracle draw."""
+        sample, exact = pie_runner._sample_shard, pie_runner._exact_draws
+        refs, seen = [], {"calls": 0, "most_alive": 0, "alive_at_oracle": []}
+
+        def alive():
+            return sum(ref() is not None for ref in refs)
+
+        def sample_spy(*args):
+            seen["calls"] += 1
+            if fail:
+                raise NumericError("spy failure")
+            refs.append(weakref.ref(dm := sample(*args)))
+            seen["most_alive"] = max(seen["most_alive"], alive())
+            return dm
+
+        def exact_spy(*args, shard_id=None):
+            if shard_id is None:
+                seen["alive_at_oracle"].append(alive())
+            return exact(*args, shard_id=shard_id)
+
+        monkeypatch.setattr(pie_runner, "_sample_shard", sample_spy)
+        monkeypatch.setattr(pie_runner, "_exact_draws", exact_spy)
+        return seen
+
+    def test_pie_mode_holds_one_shard_draw_set_at_a_time(self, monkeypatch):
+        seen = self.spy_on_shards(monkeypatch)
+        run_experiment(poisson_config(n=2000, K=4))
+        assert seen["calls"] == 4
+        assert seen["most_alive"] == 1
+
+    @pytest.mark.parametrize("mode", ["pie", "consensus", "multidim", "full-oracle"])
+    def test_no_shard_draws_alive_at_the_oracle(self, monkeypatch, mode):
+        seen = self.spy_on_shards(monkeypatch)
+        run_experiment(poisson_config(n=2000, K=4, mode=mode))
+        assert seen["calls"] == (1 if mode == "full-oracle" else 4)
+        assert seen["alive_at_oracle"] == [0]
+
+    def test_no_shard_is_sampled_after_a_failure(self, monkeypatch):
+        seen = self.spy_on_shards(monkeypatch, fail=True)
+        with pytest.raises(NumericError, match="^shard 0: spy failure$"):
+            run_experiment(poisson_config(n=2000, K=4))
+        assert seen["calls"] == 1
 
     def test_metropolis_pipeline_close_to_exact(self):
         from pie import table_moments
